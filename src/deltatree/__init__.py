@@ -17,9 +17,9 @@ from .wavepackets import (
     function_to_json, function_from_json, load_function,
 )
 from .resolvent import (
-    SingularSystemError, ResolventSystem, ResolventSolution,
-    t_edge, t_integral, system_ordering, assemble_system,
-    solve_resolvent, evaluate_resolvent, resolvent_defect, residual_check,
+    SingularSystemError, ResolventSystem, ResolventSolution, SystemTemplate,
+    t_edge, system_ordering, assemble_system,
+    solve_resolvent, evaluate_resolvent, resolvent_defect,
     vertex_value, vertex_flux_defect,
 )
 from .determinants import (
@@ -33,7 +33,7 @@ from .determinants import (
 from .spectral import (
     Eigenfunction, SpectralData, ProjectedFunction,
     omega_bracket, eigen_inner, data_eigen_inner, find_eigenvalues,
-    eigenfunction_at, project_out,
+    eigenfunction_at,
 )
 from .evolution import (
     ResonantTreeError, QuadratureSpec, Propagator, DecayReport,
@@ -43,14 +43,14 @@ from .evolution import (
 from .oracle import (
     DiscreteTree, CrankNicolson,
     discretize_tree, sample_function, sample_eigenfunction, discrete_mass,
-    cn_step, evolve_cn, safe_horizon, choose_truncation,
+    evolve_cn, safe_horizon, choose_truncation,
     boundary_energy_fraction,
 )
 from .couplings import (
     CouplingSpec, ConditionScanReport,
     check_self_adjoint, delta_matrices, dirichlet_matrices,
-    assemble_general, det_general, ratio_by_flip_general,
-    det_general_recursive, sufficient_condition_scan, general_eigenvalues,
+    assemble_general, det_general, det_general_recursive,
+    sufficient_condition_scan, general_eigenvalues,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,12 @@ def _load_tree(path):
 
 
 def _load_data(tree, path):
-    return wp.load_function(tree, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        return wp.function_from_json(tree, doc)
+    except (KeyError, ValueError) as exc:
+        raise _InvalidInput({"error": "invalid-data", "detail": str(exc)})
 
 
 class _InvalidInput(Exception):
@@ -80,10 +85,6 @@ def _parse_times(text):
 
 def _quad(args):
     return ev.QuadratureSpec(tau_max=args.tau_max, nodes=args.nodes)
-
-
-def _sample_grid(tree, u0, t_max, per_edge=200):
-    return ev.decay_samples(tree, u0, t_max, per_edge=per_edge)
 
 
 def _write_csv(rows, out_path):
@@ -175,7 +176,7 @@ def cmd_evolve(args):
     tree = _load_tree(args.graph)
     u0 = _load_data(tree, args.data)
     times = _parse_times(args.times)
-    samples = _sample_grid(tree, u0, max(times))
+    samples = ev.decay_samples(tree, u0, max(times), per_edge=200)
     try:
         results = ev.evolve_full(tree, u0, times, samples, quad=_quad(args))
     except ev.ResonantTreeError as exc:
@@ -288,66 +289,53 @@ def build_parser():
         description="Schroedinger dynamics on metric trees with delta "
                     "couplings: spectra, resonances, dispersive evolution.")
     sub = parser.add_subparsers(dest="command", required=True)
+    quad = {"--tau-max": {"type": float}, "--nodes": {"type": int}}
+    timed = {**quad, "--times": {"help": "comma-separated positive times"}}
+    packets = {"required": True,
+               "help": "initial data JSON (per-edge packets)"}
+    couplings = {"default": None, "help": "couplings JSON (defaults to "
+                 "the graph's delta strengths)"}
 
-    def add(name, fn, need_data=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, data=None, flags=None):
+        """A subcommand with exactly the flags its ``cmd_*`` reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--graph", required=True, help="graph spec JSON")
-        if need_data:
-            p.add_argument("--data", required=True,
-                           help="initial data JSON (per-edge packets)")
+        if data is not None:
+            p.add_argument("--data", **data)
         p.add_argument("--out", default=None, help="output path (stdout "
                        "if omitted)")
-        p.add_argument("--tau-max", type=float, default=None)
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--delta", type=float, default=0.5)
-        p.add_argument("--eps", type=float, default=0.05)
-        p.add_argument("--times", default=None,
-                       help="comma-separated positive times")
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--trunc", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        for flag, opts in (flags or {}).items():
+            p.add_argument(flag, **opts)
         p.set_defaults(fn=fn)
-        return p
 
-    add("validate", cmd_validate, help="check the graph spec invariants")
-    add("spectrum", cmd_spectrum, help="bound states (omegas and "
-        "eigenfunctions)")
-    add("resonance", cmd_resonance, help="zero order at the origin and the "
+    add("validate", cmd_validate, "check the graph spec invariants")
+    add("spectrum", cmd_spectrum, "bound states (omegas and eigenfunctions)")
+    add("resonance", cmd_resonance, "zero order at the origin and the "
         "non-resonance condition")
-    add("strip-scan", cmd_strip_scan, help="minimum |det| and flip ratios "
-        "on a strip around the imaginary axis")
-    add("appendix-a", cmd_appendix_a, help="positive-strength stagewise "
-        "property checks")
-    add("evolve", cmd_evolve, need_data=True,
-        help="time evolution samples as CSV")
-    add("decay", cmd_decay, need_data=True,
-        help="dispersive decay scan and power-law fit")
-    add("oracle-compare", cmd_oracle_compare, need_data=True,
-        help="propagator vs Crank-Nicolson discrepancy")
-    pc = sub.add_parser("couplings-check", help="validate an (A, B) "
-                        "coupling spec")
-    pc.add_argument("--graph", required=True)
-    pc.add_argument("--data", default=None, help="couplings JSON "
-                    "(defaults to the graph's delta strengths)")
-    pc.add_argument("--out", default=None)
-    pc.set_defaults(fn=cmd_couplings_check)
-    ps = sub.add_parser("couplings-scan", help="scan the sufficient "
-                        "dispersion condition |det D(i tau)|")
-    ps.add_argument("--graph", required=True)
-    ps.add_argument("--data", default=None)
-    ps.add_argument("--out", default=None)
-    ps.add_argument("--tau-max", type=float, default=None)
-    ps.add_argument("--nodes", type=int, default=None)
-    ps.add_argument("--delta", type=float, default=1e-3)
-    ps.set_defaults(fn=cmd_couplings_scan)
+    add("strip-scan", cmd_strip_scan, "minimum |det| and flip ratios on a "
+        "strip around the imaginary axis",
+        flags={**quad, "--delta": {"type": float, "default": 0.5},
+               "--eps": {"type": float, "default": 0.05}})
+    add("appendix-a", cmd_appendix_a, "positive-strength stagewise property "
+        "checks")
+    add("evolve", cmd_evolve, "time evolution samples as CSV", packets, timed)
+    add("decay", cmd_decay, "dispersive decay scan and power-law fit",
+        packets, timed)
+    add("oracle-compare", cmd_oracle_compare, "propagator vs Crank-Nicolson "
+        "discrepancy", packets,
+        {**timed, "--h": {"type": float}, "--dt": {"type": float},
+         "--trunc": {"type": float}})
+    add("couplings-check", cmd_couplings_check, "validate an (A, B) coupling "
+        "spec", couplings)
+    add("couplings-scan", cmd_couplings_scan, "scan the sufficient dispersion "
+        "condition |det D(i tau)|", couplings,
+        {**quad, "--delta": {"type": float, "default": 1e-3}})
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(getattr(args, "seed", 0))
     try:
         return args.fn(args)
     except _InvalidInput as exc:

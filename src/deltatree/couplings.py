@@ -3,27 +3,28 @@
 Per vertex, u(v) collects the edge values and u'(v) the derivatives
 pointing *into* each incident edge (away from the vertex), the same
 orientation used by the delta flux condition; the delta coupling is the
-instance A = (continuity rows; last row -alpha e_last), B = (0; last
-row of ones).  Self-adjointness requires rank (A|B) = d(v) and
-A B^T = B A^T.
+instance ``delta_matrices``: A = (continuity rows; last row -alpha
+e_first), B = (0; last row of ones), with e_first the first local edge.
+Self-adjointness requires rank (A|B) = d(v) and A B^T = B A^T.
 
-The resolvent system for a general coupling replaces each vertex block
-by the rows  sum_j [ a_ij * value_j + b_ij * outgoing_deriv_j ] = RHS.
-On a star this matrix is A - omega B acting on the ct coefficients, and
-the determinant recursion mirrors the delta one with the column-flip
+The resolvent system for any coupling is the one ``SystemTemplate``
+compiles: each vertex block has the rows
+sum_j [ a_ij * value_j + b_ij * outgoing_deriv_j ] = RHS.  On a star
+this matrix is A - omega B acting on the ct coefficients, and the
+determinant recursion mirrors the delta one with the column-flip
 matrices A + omega B.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .resolvent import system_ordering, t_edge
-from .trees import MetricTree, Vertex, Edge
+from .determinants import ratio_by_flip, stage_trees
+from .resolvent import SystemTemplate, delta_matrices
+from .spectral import sign_change_roots
 
 
 def check_self_adjoint(A, B, tol=1e-10):
@@ -42,18 +43,6 @@ def check_self_adjoint(A, B, tol=1e-10):
         problems.append(
             f"A B^T - B A^T is not zero (max entry {np.abs(comm).max():.2e})")
     return not problems, problems
-
-
-def delta_matrices(d, alpha):
-    """The (A, B) pair realizing the delta coupling of strength alpha."""
-    A = np.zeros((d, d))
-    B = np.zeros((d, d))
-    for i in range(d - 1):
-        A[i, i] = 1.0
-        A[i, i + 1] = -1.0
-    A[d - 1, d - 1] = -alpha
-    B[d - 1, :] = 1.0
-    return A, B
 
 
 def dirichlet_matrices(d):
@@ -112,39 +101,12 @@ def assemble_general(tree, couplings, omega, u0=None):
     """System matrix and right-hand side for general couplings.
 
     Same column ordering as the delta assembly; rows are the coupling
-    conditions vertex by vertex.  Entire in omega (no normalization)."""
-    omega = complex(omega)
-    if omega == 0:
-        raise ValueError("omega = 0 is excluded")
-    cols, groups = system_ordering(tree)
-    col_index = {key: j for j, key in enumerate(cols)}
-    n = len(cols)
-    D = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-    row_blocks = {}
-    r = 0
-    for vid, locals_ in groups:
-        A, B = couplings.matrices(tree, vid)
-        row_blocks[vid] = (r, len(locals_))
-        for i in range(len(locals_)):
-            for j, eid in enumerate(locals_):
-                e = tree.edge_map[eid]
-                x = e.length if e.head == vid else 0.0
-                a_ij, b_ij = A[i, j], B[i, j]
-                if not e.is_external:
-                    D[r, col_index[(eid, "c")]] += \
-                        (a_ij + omega * b_ij * (1 if x == 0 else -1)) \
-                        * cmath.exp(omega * x)
-                D[r, col_index[(eid, "ct")]] += \
-                    (a_ij - omega * b_ij * (1 if x == 0 else -1)) \
-                    * cmath.exp(-omega * x)
-                if u0 is not None:
-                    pk = u0.edge_packets(eid)
-                    if pk:
-                        tval = t_edge(pk, e.length, x, omega)
-                        rhs[r] -= (a_ij / omega + b_ij) * tval
-            r += 1
-    return D, rhs, col_index, row_blocks
+    conditions vertex by vertex.  Entire in omega (no normalization).
+    Returns (D, rhs, col_index, row_blocks) with row_blocks mapping a
+    vertex to (first row, degree)."""
+    template = SystemTemplate(tree, couplings)
+    sys = template.assemble(omega, u0, normalized=False)
+    return sys.matrix, sys.source, sys.col_index, template.blocks
 
 
 def det_general(tree, couplings, omega):
@@ -152,33 +114,11 @@ def det_general(tree, couplings, omega):
     return complex(np.linalg.det(D))
 
 
-def ratio_by_flip_general(tree, couplings, edge_id, omega):
-    """det of the assembly with the external edge's exponential flipped,
-    over the plain det."""
-    e = tree.edge_map[edge_id]
-    if not e.is_external:
-        raise ValueError("ratio is defined for external edges only")
-    omega = complex(omega)
-    D, _, col_index, row_blocks = assemble_general(tree, couplings, omega)
-    Dt = D.copy()
-    vid = e.tail
-    A, B = couplings.matrices(tree, vid)
-    r0, d = row_blocks[vid]
-    _, groups = system_ordering(tree)
-    locals_ = dict(groups)[vid]
-    j = locals_.index(edge_id)
-    col = col_index[(edge_id, "ct")]
-    for i in range(d):
-        Dt[r0 + i, col] += 2.0 * omega * B[i, j]
-    return complex(np.linalg.det(Dt) / np.linalg.det(D))
-
-
 def det_general_recursive(tree, couplings, omega):
     """Product recursion for the general-coupling determinant along the
     construction sequence (Appendix-C analogue)."""
     omega = complex(omega)
     root_edges, steps = tree.construction_sequence()
-    from .determinants import stage_trees
     stages = stage_trees(tree)
 
     def minus_plus(vid):
@@ -203,19 +143,19 @@ def det_general_recursive(tree, couplings, omega):
         if s.cut_edge in g:
             r_prev = g[s.cut_edge]
         else:
-            r_prev = ratio_by_flip_general(stages[k], couplings,
-                                           s.cut_edge, omega)
+            r_prev = ratio_by_flip(stages[k], s.cut_edge, omega, couplings)
         vid = s.vertex
         Mm, Mp = minus_plus(vid)
         dm = complex(np.linalg.det(Mm))
         q1 = column_swap_det(Mm, Mp, [0]) / dm
-        bracket = 1.0 - q1 * cmath.exp(-2 * omega * s.a) * r_prev
+        damp = cmath.exp(-2.0 * s.a * omega)
+        bracket = 1.0 - q1 * damp * r_prev
         det *= dm * cmath.exp(omega * s.a) * bracket
         g = {}
         for j, eid in enumerate(s.new_edges, start=1):
             qa = column_swap_det(Mm, Mp, [j]) / dm
             qb = column_swap_det(Mm, Mp, [0, j]) / dm
-            g[eid] = (qa - qb * cmath.exp(-2 * omega * s.a) * r_prev) / bracket
+            g[eid] = (qa - qb * damp * r_prev) / bracket
     return det
 
 
@@ -243,9 +183,10 @@ def sufficient_condition_scan(tree, couplings, tau_min=1e-3, tau_max=10.0,
     (e.g. Kirchhoff couplings give a constant)."""
     delta_alphas = [rest[0] for kind, *rest in couplings.entries.values()
                     if kind == "delta"]
+    template = SystemTemplate(tree, couplings)
 
     def value(tau):
-        v = det_general(tree, couplings, 1j * tau)
+        v = complex(np.linalg.det(template.matrix(1j * tau, normalized=False)))
         for al in delta_alphas:
             v /= (1j * tau + al)
         return abs(v)
@@ -264,7 +205,6 @@ def sufficient_condition_scan(tree, couplings, tau_min=1e-3, tau_max=10.0,
 def general_eigenvalues(tree, couplings, omega_max=None, n_grid=10000,
                         xtol=1e-12):
     """Real positive roots of the general determinant (bound states)."""
-    from scipy.optimize import brentq
     if omega_max is None:
         total = 0.0
         for v in tree.vertices:
@@ -274,11 +214,6 @@ def general_eigenvalues(tree, couplings, omega_max=None, n_grid=10000,
             else:
                 total += float(np.abs(rest[0]).max() + np.abs(rest[1]).max())
         omega_max = total + 1.0
-    grid = np.linspace(1e-6, omega_max, n_grid)
-    f = lambda w: det_general(tree, couplings, w).real
-    vals = np.array([f(w) for w in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=xtol))
-    return roots
+    template = SystemTemplate(tree, couplings)
+    f = lambda w: np.linalg.det(template.matrix(w, normalized=False)).real
+    return sign_change_roots(f, omega_max, n_grid, xtol)[0]

@@ -13,12 +13,14 @@ The recursion needs, at each grafting step, the determinant ratio of the
 previous stage with the attachment edge's decaying exponential flipped
 to a growing one.  For edges created at the most recent step this ratio
 satisfies its own scalar recursion; for older edges it is recomputed by
-flipping the corresponding column of the assembled matrix (a rank-one
-update: +2 omega in the flux row of the edge's vertex).
+``SystemTemplate.flipped``, which adds 2 omega B[:, j] to the edge's
+column on its vertex's rows (+2 omega in the flux row for a delta
+vertex).
 
 ``zero_order_at_origin`` counts the order of vanishing of the cleared
 determinant at omega = 0 by winding-number tracking on a small circle,
-and extracts the first nonzero Taylor coefficient by contour FFT.
+and extracts the first nonzero Taylor coefficient by contour FFT
+(``contour_taylor``, shared with the propagator's Taylor step).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .resolvent import assemble_system, system_ordering
+from .resolvent import SystemTemplate
 from .trees import Edge, MetricTree, Vertex
 
 
@@ -64,12 +66,11 @@ def stage_trees(tree):
 
 def det_direct(tree, omega):
     """Determinant of the normalized system matrix."""
-    return complex(np.linalg.det(assemble_system(tree, omega).matrix))
+    return complex(np.linalg.det(SystemTemplate(tree).matrix(omega)))
 
 
-def _det_raw(tree, omega):
-    return complex(np.linalg.det(
-        assemble_system(tree, omega, normalized=False).matrix))
+def _det_raw(template, omega):
+    return complex(np.linalg.det(template.matrix(omega, normalized=False)))
 
 
 def cleared_det(tree, omega):
@@ -79,24 +80,18 @@ def cleared_det(tree, omega):
     finite at omega = -alpha(v) and omega is only restricted to be
     nonzero.
     """
-    return (-1.0) ** tree.p * _det_raw(tree, omega)
+    return (-1.0) ** tree.p * _det_raw(SystemTemplate(tree), omega)
 
 
-def ratio_by_flip(tree, edge_id, omega):
+def ratio_by_flip(tree, edge_id, omega, couplings=None):
     """Determinant ratio det(D-tilde)/det(D) where D-tilde replaces the
-    decaying exponential of the given external edge by a growing one."""
-    e = tree.edge_map[edge_id]
-    if not e.is_external:
-        raise ValueError("ratio is defined for external edges only")
+    decaying exponential of the given external edge by a growing one.
+    ``couplings`` (a ``CouplingSpec``) defaults to the tree's deltas."""
+    template = SystemTemplate(tree, couplings)
     omega = complex(omega)
-    sys = assemble_system(tree, omega, normalized=False)
-    D = sys.matrix
-    Dt = D.copy()
-    # flipping exp(-omega x) -> exp(omega x) at x = 0 leaves the value
-    # coefficients alone and adds 2 omega to the flux-row entry
-    Dt[sys.flux_row(e.tail), sys.col_index[(edge_id, "ct")]] += 2 * omega
-    det = np.linalg.det(D)
-    return complex(np.linalg.det(Dt) / det)
+    D = template.matrix(omega, normalized=False)
+    Dt = template.flipped(D, omega, edge_id)
+    return complex(np.linalg.det(Dt) / np.linalg.det(D))
 
 
 @dataclass
@@ -130,12 +125,13 @@ def det_recursive(tree, omega, with_ratios=True):
             r_prev = ratio_by_flip(stages[k], s.cut_edge, omega)
         q1 = ((n - 2) * omega + al) / (n * omega + al)
         q2 = ((n - 4) * omega + al) / (n * omega + al)
-        bracket = 1.0 - q1 * cmath.exp(-2 * omega * a) * r_prev
+        damp = cmath.exp(-2.0 * a * omega)
+        bracket = 1.0 - q1 * damp * r_prev
         factor = ((n * omega + al) / (omega + al)) * cmath.exp(omega * a) \
             * bracket
         det *= factor
         factors.append(factor)
-        g = (q1 - q2 * cmath.exp(-2 * omega * a) * r_prev) / bracket
+        g = (q1 - q2 * damp * r_prev) / bracket
         fresh = set(s.new_edges)
     ratios = {}
     if with_ratios:
@@ -181,16 +177,27 @@ def origin_radius(tree):
     return r
 
 
-def _circle_values(fn, r, n):
-    ws = r * np.exp(2j * math.pi * np.arange(n) / n)
-    return ws, np.array([fn(w) for w in ws])
+def circle(r, n):
+    """n equispaced nodes on the circle |omega| = r."""
+    return r * np.exp(2j * math.pi * np.arange(n) / n)
+
+
+def contour_taylor(values, r, m):
+    """Taylor coefficients c_0..c_{m-1} at the origin of a function
+    analytic in |omega| <= r, from its values at ``circle(r, n)`` (along
+    axis 0; trailing axes are separate functions)."""
+    values = np.asarray(values)
+    coeffs = np.fft.fft(values, axis=0)[:m] / len(values)
+    powers = r ** np.arange(m)
+    return coeffs / powers.reshape((m,) + (1,) * (values.ndim - 1))
 
 
 def _winding_at(fn, r, nodes, max_nodes=32768):
     n = nodes
     while True:
         try:
-            ws, vals = _circle_values(fn, r, n)
+            ws = circle(r, n)
+            vals = np.array([fn(w) for w in ws])
             return winding_number(np.append(vals, vals[0])), ws, vals
         except InconclusiveWindingError:
             if n >= max_nodes:
@@ -215,7 +222,8 @@ def _origin_order_of(fn, r, nodes=2048):
 
 def _origin_order(tree, radius=None, nodes=2048):
     r = radius if radius is not None else origin_radius(tree)
-    return _origin_order_of(lambda w: _det_raw(tree, w), r, nodes)
+    template = SystemTemplate(tree)
+    return _origin_order_of(lambda w: _det_raw(template, w), r, nodes)
 
 
 @dataclass
@@ -237,15 +245,13 @@ def zero_order_at_origin(tree, radius=None, nodes=2048):
     """
     if any(v.alpha == 0.0 for v in tree.vertices):
         raise ValueError("zero_order_at_origin requires all alpha(v) != 0")
-    w, r, ws, vals = _origin_order(tree, radius, nodes)
+    order, r, _, vals = _origin_order(tree, radius, nodes)
     # winding of the raw determinant counts zeros of the normalized
     # determinant only: the cleared factors (omega + alpha) have no zeros
     # inside the circle since r <= min |alpha| / 2
-    order = w
     p = tree.p
     cleared = (-1.0) ** p * vals
-    coeffs = np.fft.fft(cleared) / len(ws)          # Taylor coeffs * r^j
-    deriv = math.factorial(p - 1) * coeffs[p - 1] / r ** (p - 1)
+    deriv = math.factorial(p - 1) * contour_taylor(cleared, r, p)[p - 1]
     return ResonanceReport(order, p, order == p - 1, complex(deriv), r)
 
 
@@ -290,6 +296,7 @@ def strip_scan(tree, eps, delta, tau_max, n_tau=2000, n_s=9):
     ss = np.linspace(-eps, eps, n_s)
     taus = np.linspace(delta, tau_max, n_tau)
     prod_alpha = lambda w: np.prod([w + v.alpha for v in tree.vertices])
+    template = SystemTemplate(tree)
     best = math.inf
     arg = None
     max_ratios = {e.id: 0.0 for e in tree.external_edges}
@@ -297,17 +304,14 @@ def strip_scan(tree, eps, delta, tau_max, n_tau=2000, n_s=9):
         for sign in (1.0, -1.0):
             for tau in taus:
                 w = complex(s, sign * tau)
-                sys = assemble_system(tree, w, normalized=False)
-                D = sys.matrix
+                D = template.matrix(w, normalized=False)
                 det_raw = np.linalg.det(D)
                 v = abs((-1.0) ** tree.p * det_raw / prod_alpha(w))
                 if v < best:
                     best = v
                     arg = w
                 for e in tree.external_edges:
-                    Dt = D.copy()
-                    Dt[sys.flux_row(e.tail),
-                       sys.col_index[(e.id, "ct")]] += 2 * w
+                    Dt = template.flipped(D, w, e.id)
                     ratio = abs(np.linalg.det(Dt) / det_raw)
                     if ratio > max_ratios[e.id]:
                         max_ratios[e.id] = float(ratio)
@@ -328,13 +332,6 @@ class StageDiagnostics:
     ratio_ok: bool
 
 
-def _taylor_coeffs(fn, r, n=256, m=8):
-    ws = r * np.exp(2j * math.pi * np.arange(n) / n)
-    vals = np.array([fn(w) for w in ws])
-    coeffs = np.fft.fft(vals) / n
-    return coeffs[:m] / r ** np.arange(m)
-
-
 def stagewise_origin_checks(tree, nodes=2048):
     """Per-stage origin diagnostics along the construction sequence:
     the vanishing order must grow by one per grafting step, the flip
@@ -350,9 +347,12 @@ def stagewise_origin_checks(tree, nodes=2048):
         else:
             edge = stage.external_edges[0].id
         r = rep.radius
-        num = _taylor_coeffs(lambda w: _flipped_raw_det(stage, edge, w),
-                             r, m=q + 2)
-        den = _taylor_coeffs(lambda w: _det_raw(stage, w), r, m=q + 2)
+        template = SystemTemplate(stage)
+        ws = circle(r, 256)
+        mats = [template.matrix(w, normalized=False) for w in ws]
+        den = contour_taylor([np.linalg.det(D) for D in mats], r, q + 2)
+        num = contour_taylor([np.linalg.det(template.flipped(D, w, edge))
+                              for D, w in zip(mats, ws)], r, q + 2)
         a, b = den[q - 1], den[q]
         at, bt = num[q - 1], num[q]
         ratio0 = at / a
@@ -362,14 +362,6 @@ def stagewise_origin_checks(tree, nodes=2048):
         out.append(StageDiagnostics(q, order, order == q - 1,
                                     complex(ratio0), complex(ratio1), ok))
     return out
-
-
-def _flipped_raw_det(tree, edge_id, omega):
-    sys = assemble_system(tree, omega, normalized=False)
-    D = sys.matrix.copy()
-    e = tree.edge_map[edge_id]
-    D[sys.flux_row(e.tail), sys.col_index[(edge_id, "ct")]] += 2 * omega
-    return complex(np.linalg.det(D))
 
 
 def appendix_a_checks(tree, nodes=2048):
@@ -390,11 +382,21 @@ def coefficient_function(tree, lambda_edge_id, column, omega):
     replaced by the corresponding slot column of S.  Assembled raw, so
     the result is entire in omega (shares the (omega + alpha) clearing
     of ``cleared_det``)."""
-    sys = assemble_system(tree, omega, normalized=False)
-    D = sys.matrix.copy()
-    D[:, sys.col_index[column]] = \
-        sys.slot_matrix[:, sys.slot_index[(lambda_edge_id, 0.0)]]
-    return (-1.0) ** tree.p * complex(np.linalg.det(D))
+    return _coefficient_det(SystemTemplate(tree), lambda_edge_id, [column],
+                            omega)
+
+
+def _coefficient_det(template, lambda_edge_id, columns, omega):
+    """Sum over ``columns`` of ``coefficient_function`` from one
+    assembly."""
+    sys = template.assemble(omega, normalized=False)
+    slot = sys.slot_matrix[:, sys.slot_index[(lambda_edge_id, 0.0)]]
+    total = 0.0
+    for column in columns:
+        D = sys.matrix.copy()
+        D[:, sys.col_index[column]] = slot
+        total += (-1.0) ** template.tree.p * complex(np.linalg.det(D))
+    return total
 
 
 def coefficient_order(tree, lambda_edge_id, edge_id, nodes=2048):
@@ -402,14 +404,11 @@ def coefficient_order(tree, lambda_edge_id, edge_id, nodes=2048):
     f_{lambda,e}: for an external target edge the coefficient of its ct
     column; for an internal target edge the sum of the c and ct
     coefficient functions (whose individual orders may be lower)."""
-    e = tree.edge_map[edge_id]
-
-    def fn(w):
-        v = coefficient_function(tree, lambda_edge_id, (edge_id, "ct"), w)
-        if not e.is_external:
-            v += coefficient_function(tree, lambda_edge_id, (edge_id, "c"), w)
-        return v
-
+    columns = [(edge_id, "ct")]
+    if not tree.edge_map[edge_id].is_external:
+        columns.append((edge_id, "c"))
+    template = SystemTemplate(tree)
+    fn = lambda w: _coefficient_det(template, lambda_edge_id, columns, w)
     r = origin_radius(tree)
     if max(abs(fn(r * z)) for z in (1, 1j, -1, -1j)) == 0.0:
         return math.inf

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import generalized_origin_check, origin_radius
-from .resolvent import assemble_system
+from .determinants import (circle, contour_taylor, generalized_origin_check,
+                           origin_radius)
+from .resolvent import SystemTemplate
 from .spectral import find_eigenvalues, data_eigen_inner
 from .wavepackets import free_evolution
 
@@ -264,23 +265,18 @@ class Propagator:
     # resolvent weights -------------------------------------------------
 
     def _solve_weights(self, omega):
-        sys = assemble_system(self.tree, omega, self.u0, normalized=True)
-        x = np.linalg.solve(sys.matrix, sys.source)
-        self._col_index = sys.col_index
-        return omega * x
+        sys = self._template.assemble(omega, self.u0, normalized=True)
+        return omega * np.linalg.solve(sys.matrix, sys.source)
 
     def _build_weights(self):
         q = self.quad
+        self._template = SystemTemplate(self.tree)
         r = origin_radius(self.tree)
         tau_cut = q.tau_cut_fraction * r
         # Cauchy contour around the origin: Taylor coefficients of the
         # entire-vector omega * coeffs(omega)
-        n = q.contour_nodes
-        ws = r * np.exp(2j * math.pi * np.arange(n) / n)
-        ring = np.array([self._solve_weights(w) for w in ws])
-        coeffs = np.fft.fft(ring, axis=0) / n
-        self._taylor = coeffs[:q.taylor_terms] / r ** np.arange(
-            q.taylor_terms)[:, None]
+        ring = [self._solve_weights(w) for w in circle(r, q.contour_nodes)]
+        self._taylor = contour_taylor(ring, r, q.taylor_terms)
 
         flat = self.nodes.ravel()
         vals = np.empty((flat.size, self._taylor.shape[1]), dtype=complex)
@@ -303,7 +299,7 @@ class Propagator:
 
     def weight_function(self, edge_id, kind):
         """Interpolation data of W for one unknown column."""
-        col = self._col_index[(edge_id, kind)]
+        col = self._template.col_index[(edge_id, kind)]
         return self._panel_coeffs[:, :, col]
 
     # evaluation ---------------------------------------------------------

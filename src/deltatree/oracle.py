@@ -164,11 +164,6 @@ class CrankNicolson:
         return self._lu.solve(self._rhs @ state)
 
 
-def cn_step(dt_tree, state, dt):
-    """Single CN step (convenience wrapper; factorizes each call)."""
-    return CrankNicolson(dt_tree, dt).step(state)
-
-
 def evolve_cn(dt_tree, state, t, dt, record_mass=False):
     """Evolve to time t (t must be a multiple of dt up to rounding)."""
     n = round(t / dt)

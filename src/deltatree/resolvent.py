@@ -9,12 +9,19 @@ with c = 0 on external (infinite) edges and
 
     t_e(x, omega) = 1/2 * int_{I_e} u0|_e(y) exp(-omega |x - y|) dy.
 
-The unknown coefficients satisfy one linear system per tree: for every
-vertex, continuity of the values across all incident edges and one flux
-condition
+The unknown coefficients satisfy one linear system per tree.  Every
+vertex contributes one block of rows, its coupling condition
+A u(v) + B u'(v) = 0, where u(v) collects the values on the incident
+edges and u'(v) the derivatives pointing into each edge (away from the
+vertex).  A delta vertex of strength alpha is the instance
+``delta_matrices``: continuity rows, then the flux row
 
-    sum over incident edges of the derivative pointing into the edge
-    (away from the vertex)  =  alpha(v) * u(v).
+    sum of outgoing derivatives - alpha * (value on the first edge) = 0.
+
+``SystemTemplate`` compiles the blocks of one tree once into flat entry
+arrays; evaluating the system at an omega is then a few numpy
+operations.  Delta flux rows may be normalized by -1/(omega + alpha);
+the raw form is entire in omega.
 
 Columns and rows are ordered by the construction sequence of the tree:
 the root star contributes one ct column per root edge, every grafting
@@ -61,12 +68,6 @@ def t_edge(packets, length, x, omega):
     return 0.5 * total
 
 
-def t_integral(edge, u0, omega, x):
-    """Source term t_e(x, omega) for one edge of a graph function
-    (convenience wrapper around ``t_edge``)."""
-    return t_edge(u0.edge_packets(edge.id), edge.length, x, omega)
-
-
 def system_ordering(tree):
     """Canonical column order and vertex groups from the construction
     sequence.  Returns (cols, groups) where cols is a list of
@@ -81,6 +82,20 @@ def system_ordering(tree):
     return cols, groups
 
 
+def delta_matrices(d, alpha):
+    """The (A, B) pair realizing the delta coupling of strength alpha:
+    continuity rows, then the flux row with -alpha on the first local
+    edge."""
+    A = np.zeros((d, d))
+    B = np.zeros((d, d))
+    for i in range(d - 1):
+        A[i, i] = 1.0
+        A[i, i + 1] = -1.0
+    A[d - 1, 0] = -alpha
+    B[d - 1, :] = 1.0
+    return A, B
+
+
 @dataclass
 class ResolventSystem:
     """Assembled linear system D x = T (with omega*T = S @ tvals)."""
@@ -92,38 +107,145 @@ class ResolventSystem:
     tvals: np.ndarray           # t_e values at the slots, shape (M,)
     col_index: dict             # (edge_id, 'c'|'ct') -> column
     slot_index: dict            # (edge_id, x_endpoint) -> slot
-    row_labels: list            # ('cont', v, i) or ('flux', v)
+    row_labels: list            # ('cont'|'coupling', v, i) or ('flux', v)
     normalized: bool
 
     def flux_row(self, vertex_id):
         return self.row_labels.index(("flux", vertex_id))
 
 
-def _endpoint(tree, edge_id, vertex_id):
-    e = tree.edge_map[edge_id]
-    return e.length if e.head == vertex_id else 0.0
+class SystemTemplate:
+    """The resolvent system of one tree, compiled once and evaluated at
+    any omega.
 
+    ``couplings`` (a ``CouplingSpec``) gives the vertex conditions; by
+    default every vertex carries the delta coupling of its strength.  In
+    the block of a vertex, entry (A_ij, B_ij) acts on local edge j with
+    endpoint coordinate x: it contributes (a + omega b) exp(omega kx) to
+    the edge's c column (a = A_ij, b = +-B_ij, kx = x) and to its ct
+    column (b and kx negated), the sign of b being + at x = 0 and - at
+    the far end.  Each (row, column) pair occurs once: a column belongs
+    to one edge and a row to one vertex block, and trees have no
+    self-loops.  The slot matrix is S = -(A + omega B) on the vertex's
+    rows, so that omega * source = S @ tvals.
+    """
 
-def _value_coeffs(tree, edge_id, x, omega):
-    """Unknown-coefficient pairs for the value of R u0 at coordinate x."""
-    e = tree.edge_map[edge_id]
-    out = []
-    if not e.is_external:
-        out.append(((edge_id, "c"), np.exp(omega * x)))
-    out.append(((edge_id, "ct"), np.exp(-omega * x)))
-    return out
+    def __init__(self, tree, couplings=None):
+        cols, groups = system_ordering(tree)
+        self.tree = tree
+        self.col_index = {key: j for j, key in enumerate(cols)}
+        n = self.n = len(cols)
+        slots = []
+        self._edge_slots = {}       # edge -> (slots, coordinates, length)
+        for e in tree.edges:
+            xs = [0.0] if e.is_external else [0.0, e.length]
+            first = len(slots)
+            slots += [(e.id, x) for x in xs]
+            self._edge_slots[e.id] = (np.arange(first, len(slots)),
+                                      np.array(xs), e.length)
+        self.slot_index = {key: m for m, key in enumerate(slots)}
+        self._Sa = np.zeros((n, len(slots)))
+        self._Sb = np.zeros((n, len(slots)))
+        idx, a, b, kx = [], [], [], []
+        self.row_labels = []
+        self.blocks = {}            # vertex -> (first row, degree)
+        self._flips = {}            # external edge -> (column, rows, B[:, j])
+        flux_rows, flux_alphas = [], []
+        r = 0
+        for vid, locals_ in groups:
+            d = len(locals_)
+            if couplings is None:
+                alpha = tree.alpha(vid)
+                A, B = delta_matrices(d, alpha)
+            else:
+                kind, *rest = couplings.entries[vid]
+                alpha = rest[0] if kind == "delta" else None
+                A, B = couplings.matrices(tree, vid)
+            rows = np.arange(r, r + d)
+            self.blocks[vid] = (r, d)
+            for j, eid in enumerate(locals_):
+                e = tree.edge_map[eid]
+                x = e.length if e.head == vid else 0.0
+                sgn = 1.0 if x == 0.0 else -1.0
+                m = self.slot_index[(eid, x)]
+                self._Sa[rows, m] = -A[:, j]
+                self._Sb[rows, m] = -B[:, j]
+                kinds = (("ct", -1.0),) if e.is_external \
+                    else (("c", 1.0), ("ct", -1.0))
+                for i in np.flatnonzero((A[:, j] != 0) | (B[:, j] != 0)):
+                    for kind, s in kinds:
+                        idx.append((r + i) * n + self.col_index[(eid, kind)])
+                        a.append(A[i, j])
+                        b.append(s * sgn * B[i, j])
+                        kx.append(s * x)
+                if e.is_external:
+                    self._flips[eid] = (self.col_index[(eid, "ct")], rows,
+                                        B[:, j].copy())
+            if alpha is None:
+                self.row_labels += [("coupling", vid, i) for i in range(d)]
+            else:
+                self.row_labels += [("cont", vid, i) for i in range(d - 1)]
+                self.row_labels.append(("flux", vid))
+                flux_rows.append(r + d - 1)
+                flux_alphas.append(alpha)
+            r += d
+        self._idx = np.array(idx, dtype=np.intp)
+        self._a = np.array(a, dtype=float)
+        self._b = np.array(b, dtype=float)
+        self._kx = np.array(kx, dtype=float)
+        self._flux_rows = np.array(flux_rows, dtype=np.intp)
+        self._flux_alphas = np.array(flux_alphas, dtype=float)
 
+    def _row_scale(self, omega):
+        """Normalization of the rows: -1/(omega + alpha) on delta flux
+        rows, 1 elsewhere."""
+        den = omega + self._flux_alphas
+        if np.any(np.abs(den) < 1e-14):
+            raise ValueError(f"omega = {omega} is a pole -alpha(v) of the "
+                             "normalized rows")
+        scale = np.ones(self.n, dtype=complex)
+        scale[self._flux_rows] = -1.0 / den
+        return scale
 
-def _outgoing_deriv_coeffs(tree, edge_id, x, omega):
-    """Coefficients of the derivative pointing into the edge, away from
-    the vertex sitting at coordinate x (x is 0 or the edge length)."""
-    e = tree.edge_map[edge_id]
-    sgn = 1.0 if x == 0.0 else -1.0
-    out = []
-    if not e.is_external:
-        out.append(((edge_id, "c"), sgn * omega * np.exp(omega * x)))
-    out.append(((edge_id, "ct"), -sgn * omega * np.exp(-omega * x)))
-    return out
+    def matrix(self, omega, normalized=True):
+        """System matrix D(omega)."""
+        omega = complex(omega)
+        if omega == 0:
+            raise ValueError("omega = 0 is excluded; use contour evaluation")
+        D = np.zeros(self.n * self.n, dtype=complex)
+        D[self._idx] = (self._a + omega * self._b) * np.exp(omega * self._kx)
+        D = D.reshape(self.n, self.n)
+        if normalized:
+            D *= self._row_scale(omega)[:, None]
+        return D
+
+    def flipped(self, D, omega, edge_id):
+        """Copy of the raw D(omega) with the decaying exponential of an
+        external edge replaced by a growing one.  At x = 0 this leaves the
+        value entries alone and reverses the derivative entries, so the
+        edge's column gains 2 omega B[:, j] on its vertex's rows."""
+        if edge_id not in self._flips:
+            raise ValueError("ratio is defined for external edges only")
+        col, rows, b = self._flips[edge_id]
+        Dt = D.copy()
+        Dt[rows, col] += 2.0 * omega * b
+        return Dt
+
+    def assemble(self, omega, u0=None, normalized=True):
+        """The full system at omega: matrix, source and slot data."""
+        omega = complex(omega)
+        D = self.matrix(omega, normalized)
+        S = self._Sa + omega * self._Sb
+        if normalized:
+            S *= self._row_scale(omega)[:, None]
+        tvals = np.zeros(len(self.slot_index), dtype=complex)
+        for eid, (slots, xs, length) in self._edge_slots.items():
+            packets = u0.edge_packets(eid) if u0 is not None else ()
+            if packets:
+                tvals[slots] = t_edge(packets, length, xs, omega)
+        return ResolventSystem(self.tree, omega, D, (S @ tvals) / omega, S,
+                               tvals, self.col_index, self.slot_index,
+                               self.row_labels, normalized)
 
 
 def assemble_system(tree, omega, u0=None, normalized=True):
@@ -131,63 +253,9 @@ def assemble_system(tree, omega, u0=None, normalized=True):
 
     With ``normalized`` the flux rows are scaled by -1/(omega + alpha(v))
     (requires omega != -alpha(v)); the raw form is entire in omega.
+    Loops over omega should compile one ``SystemTemplate`` instead.
     """
-    omega = complex(omega)
-    if omega == 0:
-        raise ValueError("omega = 0 is excluded; use contour evaluation")
-    cols, groups = system_ordering(tree)
-    col_index = {key: j for j, key in enumerate(cols)}
-    n = len(cols)
-
-    slots = []
-    for e in tree.edges:
-        slots.append((e.id, 0.0))
-        if not e.is_external:
-            slots.append((e.id, e.length))
-    slot_index = {key: m for m, key in enumerate(slots)}
-
-    D = np.zeros((n, n), dtype=complex)
-    S = np.zeros((n, len(slots)), dtype=complex)
-    row_labels = []
-    r = 0
-    for vid, locals_ in groups:
-        alpha = tree.alpha(vid)
-        if normalized and abs(omega + alpha) < 1e-14:
-            raise ValueError(
-                f"omega = -alpha({vid}) is a pole of the normalized rows")
-        xs = [_endpoint(tree, eid, vid) for eid in locals_]
-        # continuity rows between consecutive local edges
-        for i in range(len(locals_) - 1):
-            for key, val in _value_coeffs(tree, locals_[i], xs[i], omega):
-                D[r, col_index[key]] += val
-            for key, val in _value_coeffs(tree, locals_[i + 1], xs[i + 1],
-                                          omega):
-                D[r, col_index[key]] -= val
-            S[r, slot_index[(locals_[i + 1], xs[i + 1])]] += 1.0
-            S[r, slot_index[(locals_[i], xs[i])]] -= 1.0
-            row_labels.append(("cont", vid, i))
-            r += 1
-        # flux row (raw form): sum of outgoing derivatives - alpha * value
-        scale = -1.0 / (omega + alpha) if normalized else 1.0
-        for eid, x in zip(locals_, xs):
-            for key, val in _outgoing_deriv_coeffs(tree, eid, x, omega):
-                D[r, col_index[key]] += scale * val
-            S[r, slot_index[(eid, x)]] -= scale * omega
-        for key, val in _value_coeffs(tree, locals_[0], xs[0], omega):
-            D[r, col_index[key]] -= scale * alpha * val
-        S[r, slot_index[(locals_[0], xs[0])]] += scale * alpha
-        row_labels.append(("flux", vid))
-        r += 1
-
-    tvals = np.zeros(len(slots), dtype=complex)
-    if u0 is not None:
-        for (eid, x), m in slot_index.items():
-            pk = u0.edge_packets(eid)
-            if pk:
-                tvals[m] = t_edge(pk, tree.edge_map[eid].length, x, omega)
-    source = (S @ tvals) / omega
-    return ResolventSystem(tree, omega, D, source, S, tvals, col_index,
-                           slot_index, row_labels, normalized)
+    return SystemTemplate(tree).assemble(omega, u0, normalized)
 
 
 @dataclass
@@ -239,9 +307,6 @@ def resolvent_defect(sol, edge_id, x, h=1e-4):
     d2 = (-u(x + 2 * h) + 16 * u(x + h) - 30 * u(x)
           + 16 * u(x - h) - u(x - 2 * h)) / (12 * h * h)
     return -d2 + sol.omega ** 2 * u(x) - sol.u0(edge_id, x)
-
-
-residual_check = resolvent_defect
 
 
 def vertex_value(sol, vertex_id, edge_id=None):

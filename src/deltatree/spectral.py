@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .determinants import cleared_det
-from .resolvent import assemble_system
+from .resolvent import SystemTemplate, assemble_system
 from .wavepackets import packet_exp_integral
 
 
@@ -109,30 +108,40 @@ class SpectralData:
         }
 
 
+def sign_change_roots(f, omega_max, n_grid=10000, xtol=1e-12):
+    """Roots of the real function f on (0, omega_max]: sign changes on a
+    uniform grid, each bracket refined by Brent's method, near-coincident
+    roots merged.  Returns (roots, warnings)."""
+    grid = np.linspace(1e-6, omega_max, n_grid)
+    vals = np.array([f(w) for w in grid])
+    # compare signs, not products: neighbouring values may be huge
+    change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif change[i]:
+            roots.append(brentq(f, grid[i], grid[i + 1], xtol=xtol))
+    warnings = []
+    merged = []
+    for r in sorted(roots):
+        if merged and abs(r - merged[-1]) < 10 * xtol:
+            warnings.append(f"nearly coincident roots near omega={r:.6g}")
+            continue
+        merged.append(r)
+    return merged, warnings
+
+
 def find_eigenvalues(tree, omega_max=None, n_grid=10000, xtol=1e-12):
     """All bound states: scan the cleared determinant for sign changes
     on (0, omega_max] and refine each bracket by bisection."""
     if omega_max is None:
         omega_max = omega_bracket(tree)
-    lo = 1e-6
-    grid = np.linspace(lo, omega_max, n_grid)
-    vals = np.array([cleared_det(tree, w).real for w in grid])
-    warnings = []
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            f = lambda w: cleared_det(tree, w).real
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=xtol))
-    # deduplicate near-coincident roots
-    roots = sorted(roots)
-    merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < 10 * xtol:
-            warnings.append(f"nearly coincident roots near omega={r:.6g}")
-            continue
-        merged.append(r)
+    template = SystemTemplate(tree)
+    sign = (-1.0) ** tree.p
+    f = lambda w: sign * np.linalg.det(
+        template.matrix(w, normalized=False)).real
+    merged, warnings = sign_change_roots(f, omega_max, n_grid, xtol)
     funcs = [eigenfunction_at(tree, w) for w in merged]
     for w, phi in zip(merged, funcs):
         if phi.simplicity_gap < 1e-6:
@@ -194,7 +203,3 @@ class ProjectedFunction:
         for coef, _ in self.terms:
             total -= abs(coef) ** 2
         return math.sqrt(max(total, 0.0))
-
-
-def project_out(u0, spectral):
-    return ProjectedFunction(u0, spectral)

@@ -226,7 +226,8 @@ def validate_tree(tree):
     frontier = [tree.root]
     while frontier:
         vid = frontier.pop()
-        for e in tree.edges:
+        for eid, _ in tree.incident(vid):
+            e = tree.edge_map[eid]
             if e.tail == vid and e.head is not None:
                 if e.head in seen:
                     problems.append(f"edge {e.id}: cycle or duplicate parent "

@@ -235,12 +235,19 @@ def function_to_json(fn):
     }
 
 
+def _amplitude(d):
+    """Packet amplitude from ``A`` or from ``A_re`` / ``A_im``."""
+    if not {"A", "A_re", "A_im"} & set(d):
+        raise ValueError(f"packet {d} has no amplitude (A, or A_re / A_im)")
+    return complex(d.get("A", complex(d.get("A_re", 0.0), d.get("A_im", 0.0))))
+
+
 def function_from_json(tree, doc):
     packets = {}
     for eid, plist in doc.items():
         packets[eid] = [
-            Packet(complex(d.get("A_re", 0.0), d.get("A_im", 0.0)),
-                   float(d["x0"]), float(d["sigma"]), float(d["k"]))
+            Packet(_amplitude(d), float(d["x0"]), float(d["sigma"]),
+                   float(d["k"]))
             for d in plist
         ]
     return GraphFunction(tree, packets)

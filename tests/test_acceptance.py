@@ -18,7 +18,7 @@ from deltatree import (
     check_self_adjoint, cleared_det, decay_scan, delta_matrices, det_direct,
     det_general, det_recursive, dirichlet_matrices, discretize_tree,
     evaluate_resolvent, evolve_cn, find_eigenvalues, free_evolution,
-    general_eigenvalues, line_tree, norms, residual_check, safe_horizon,
+    general_eigenvalues, line_tree, norms, resolvent_defect, safe_horizon,
     sample_function, solve_resolvent, star_tree, sufficient_condition_scan,
     vertex_flux_defect, vertex_value, zero_order_at_origin,
 )
@@ -136,7 +136,7 @@ def test_criterion_06_resolvent_correctness():
             for e in tree.edges:
                 hi = e.length if not e.is_external else 7.0
                 for x in (0.3 * hi, 0.7 * hi):
-                    r = residual_check(sol, e.id, x)
+                    r = resolvent_defect(sol, e.id, x)
                     assert abs(r) <= 1e-5 * (1 + abs(u0(e.id, x)[()]))
             # continuity and flux at every vertex
             for v in tree.vertices:

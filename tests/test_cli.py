@@ -68,6 +68,13 @@ def test_usage_error_exit_2(files):
     assert exc.value.code == 2
 
 
+def test_flag_of_another_subcommand_exit_2(files):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--graph", files["single"], "--data", files["data"],
+              "--times", "1", "--eps", "0.1"])
+    assert exc.value.code == 2
+
+
 def test_unreadable_file_exit_2(files, capsys):
     assert main(["spectrum", "--graph", str(files["dir"] / "nope.json")]) == 2
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from deltatree import (
-    CouplingSpec, attach_vertex, check_self_adjoint, cleared_det,
-    delta_matrices, det_general, det_general_recursive, dirichlet_matrices,
-    find_eigenvalues, general_eigenvalues, line_tree, ratio_by_flip,
-    ratio_by_flip_general, star_tree, sufficient_condition_scan,
+    CouplingSpec, GraphFunction, Packet, SystemTemplate, attach_vertex,
+    check_self_adjoint, cleared_det, delta_matrices, det_general,
+    det_general_recursive, dirichlet_matrices, find_eigenvalues,
+    general_eigenvalues, line_tree, ratio_by_flip, star_tree,
+    sufficient_condition_scan,
 )
 from conftest import random_tree
 
@@ -59,6 +60,17 @@ def test_delta_instance_det_ratio_constant():
             dg = det_general(tree, spec, w)
             dc = cleared_det(tree, w)
             ratios.append(dg / dc)
+            # the all-delta spec compiles to the default template exactly
+            u0 = GraphFunction(tree, {e.id: [Packet(1.0 + 0.5j, 1.5, 0.6,
+                                                    0.8)]
+                                      for e in tree.edges})
+            for normalized in (True, False):
+                a = SystemTemplate(tree).assemble(w, u0, normalized)
+                b = SystemTemplate(tree, spec).assemble(w, u0, normalized)
+                assert np.abs(a.matrix - b.matrix).max() <= 1e-14 * max(
+                    1.0, np.abs(a.matrix).max())
+                assert np.abs(a.source - b.source).max() <= 1e-14 * max(
+                    1.0, np.abs(a.source).max())
         assert len(ratios) >= 4
         for r in ratios[1:]:
             assert abs(r - ratios[0]) <= 1e-10 * abs(ratios[0])
@@ -70,7 +82,7 @@ def test_delta_instance_flip_ratio_matches():
     spec = CouplingSpec.all_delta(tree)
     w = 0.9 + 1.1j
     for e in tree.external_edges:
-        a = ratio_by_flip_general(tree, spec, e.id, w)
+        a = ratio_by_flip(tree, e.id, w, spec)
         b = ratio_by_flip(tree, e.id, w)
         assert abs(a - b) < 1e-10
 

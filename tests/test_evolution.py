@@ -6,7 +6,7 @@ import pytest
 from deltatree import (
     GraphFunction, Packet, Propagator, QuadratureSpec, ResonantTreeError,
     attach_vertex, evolve_dispersive, evolve_full, find_eigenvalues,
-    free_evolution, line_tree, project_out, star_tree,
+    free_evolution, line_tree, star_tree,
 )
 from deltatree.evolution import _legendre_moments
 

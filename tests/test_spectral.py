@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import simpson
 
 from deltatree import (
-    GraphFunction, Packet, data_eigen_inner, eigen_inner, find_eigenvalues,
-    line_tree, project_out, star_tree,
+    GraphFunction, Packet, ProjectedFunction, data_eigen_inner, eigen_inner,
+    find_eigenvalues, line_tree, star_tree,
 )
 from conftest import random_tree
 
@@ -56,7 +57,7 @@ def test_projection_removes_bound_parts():
     data = find_eigenvalues(tree)
     phi = data.eigenfunctions[0]
     u0 = GraphFunction(tree, {"e1": [Packet(1.0, 1.0, 0.8, 0.3)]})
-    pu = project_out(u0, data)
+    pu = ProjectedFunction(u0, data)
     # <P u0, phi> = 0: recompute the overlap of the projected function
     coef = pu.terms[0][0]
     x = np.linspace(0.0, 25.0, 8001)
@@ -71,7 +72,7 @@ def test_projection_idempotent_norm():
     data = find_eigenvalues(tree)
     phi = data.eigenfunctions[0]
     u0 = GraphFunction(tree, {"e1": [Packet(0.5, 2.0, 1.0, -1.0)]})
-    pu = project_out(u0, data)
+    pu = ProjectedFunction(u0, data)
     # projecting again changes nothing: the overlap of Pu0 with phi is 0
     inner_pu = data_eigen_inner(u0, phi) - pu.terms[0][0]
     assert abs(inner_pu) < 1e-12
@@ -82,3 +83,21 @@ def test_spectrum_json():
     doc = find_eigenvalues(tree).to_json()
     assert doc["omegas"] and abs(doc["omegas"][0] - 1.0) < 1e-9
     assert set(doc["eigenfunctions"][0]["e1"]) == {"c", "c_tilde"}
+
+
+def test_scan_without_overflow_on_long_mixed_line():
+    # neighbouring cleared determinants of a long line overflow float64
+    # when multiplied; the scan compares their signs instead
+    rng = np.random.default_rng(0)
+    alphas = rng.uniform(0.3, 2.0, 12) * rng.choice([-1.0, 1.0], 12)
+    gaps = rng.uniform(0.5, 1.5, 11)
+    tree = line_tree(list(alphas), list(gaps * (60.0 / gaps.sum())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = find_eigenvalues(tree)
+    # roots of the product-based scan before the change
+    pinned = [0.6018906997647078, 0.6907022187138724, 0.7722054454010363,
+              0.8434713740684774]
+    assert len(data.omegas) == len(pinned)
+    for got, want in zip(data.omegas, pinned):
+        assert abs(got - want) < 1e-9

@@ -1,11 +1,16 @@
+import json
 import math
+import pathlib
+import re
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from deltatree import (
-    GraphFunction, Packet, free_evolution, gauss_exp_integral, norms,
-    packet_exp_integral, star_tree,
+    GraphFunction, Packet, free_evolution, function_from_json,
+    gauss_exp_integral, norms, packet_exp_integral, star_tree,
+    tree_from_json,
 )
 
 
@@ -91,3 +96,15 @@ def test_free_evolution_at_zero_time():
     x = np.linspace(0, 10, 11)
     got = free_evolution(pk, 0.0, np.inf, x, 0.0)
     assert np.max(np.abs(got - pk[0](x))) < 1e-12
+
+
+def test_readme_data_example_loads():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = [json.loads(b) for b in
+              re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)]
+    tree = tree_from_json(next(b for b in blocks if "vertices" in b))
+    doc = next(b for b in blocks if "e1" in b)
+    assert function_from_json(tree, doc).l2_norm() > 0
+    with pytest.raises(ValueError, match="amplitude"):
+        function_from_json(tree, {"e1": [{"x0": 6.0, "sigma": 1.0,
+                                          "k": -1.0}]})
