@@ -250,7 +250,12 @@ def _load_couplings(tree, path):
     if path is None:
         return cp.CouplingSpec.all_delta(tree)
     with open(path) as fh:
-        return cp.CouplingSpec.from_json(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return cp.CouplingSpec.from_json(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _InvalidInput({"error": "invalid-couplings",
+                             "problems": [f"{type(exc).__name__}: {exc}"]})
 
 
 def cmd_couplings_check(args):

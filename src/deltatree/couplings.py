@@ -61,6 +61,10 @@ class CouplingSpec:
 
     @classmethod
     def from_json(cls, doc):
+        """Malformed documents raise KeyError, ValueError or TypeError."""
+        if not isinstance(doc, dict):
+            raise TypeError("couplings must be a JSON object keyed by "
+                            "vertex id")
         entries = {}
         for vid, spec in doc.items():
             if spec["type"] == "delta":
@@ -81,8 +85,8 @@ class CouplingSpec:
         A, B = rest
         if A.shape != (d, d):
             raise ValueError(
-                f"vertex {vertex_id}: coupling matrices are "
-                f"{A.shape[0]}x{A.shape[0]} but the degree is {d}")
+                f"vertex {vertex_id}: coupling matrix A has shape "
+                f"{A.shape} but the degree is {d}")
         return A, B
 
     def validate(self, tree):
@@ -91,7 +95,11 @@ class CouplingSpec:
             if v.id not in self.entries:
                 problems.append(f"vertex {v.id}: no coupling given")
                 continue
-            A, B = self.matrices(tree, v.id)
+            try:
+                A, B = self.matrices(tree, v.id)
+            except ValueError as exc:
+                problems.append(str(exc))
+                continue
             ok, issues = check_self_adjoint(A, B)
             problems += [f"vertex {v.id}: {msg}" for msg in issues]
         return problems

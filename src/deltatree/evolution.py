@@ -18,13 +18,15 @@ computed once per (tree, data) on a fixed panel grid -- solved directly
 away from tau = 0 and through Cauchy-contour Taylor coefficients near
 tau = 0, where the limit exists precisely when the tree is
 non-resonant -- and interpolated by degree-6 polynomials per panel.
-The remaining oscillatory moments
+The remaining oscillatory integrals
 
     int_panel (tau - tau_c)^n e^{-i t tau^2 + i a tau} dtau
 
-are evaluated in closed form (exact linear-phase moments combined with
-a short Taylor expansion of the centered quadratic phase), so a single
-set of panel coefficients serves every time and every sample point.
+are a Filon sum in closed form (exact linear-phase moments times a
+short Taylor expansion of the centered quadratic phase), so a single
+set of panel coefficients serves every time and every sample point;
+``oscillatory_sum`` evaluates all (panel, sample) columns in bounded
+blocks, one moment recursion and one einsum per block.
 """
 
 from __future__ import annotations
@@ -63,60 +65,38 @@ class ResonantTreeError(Exception):
 def _legendre_moments(u, deg):
     """G_n(u) = int_{-1}^{1} s^n exp(i u s) ds for n = 0..deg, u real array.
 
-    Three regimes keep every entry accurate: a power series for small
-    |u| (no cancellation below e^12 * eps), the by-parts recursion
-    upward for n <= |u| (where it is stable), and the same recursion run
-    downward for n > |u| (where the upward form amplifies roundoff by
-    n/|u| per step).  The downward pass starts from 0 at n = deg + 60;
-    the start error is damped by the product of |u|/k factors."""
+    Two regimes of the by-parts recursion i u G_n = b_n - n G_{n-1},
+    b_n = e^{iu} - (-1)^n e^{-iu}, keep every entry accurate: upward
+    from G_0 = 2 sin(u) / u for n <= |u| (where it is stable), downward
+    G_{n-1} = (b_n - i u G_n) / n from 0 at n = deg + 60 for n > |u|
+    (where upward amplifies roundoff by n/|u| per step; the start error
+    is damped by the product of |u|/k factors).  The downward form has
+    no division, so it holds at u = 0.  Each pass covers the whole
+    block and is written only over its own rows."""
     u = np.asarray(u, dtype=float)
-    G = np.zeros((deg + 1,) + u.shape, dtype=complex)
     au = np.abs(u)
-    small = au <= 12.0
+    eiu = np.exp(1j * u)
+    bnd = (eiu - eiu.conj(), eiu + eiu.conj())      # b_n for n even, odd
+    G = np.empty((deg + 1,) + u.shape, dtype=complex)
+    G[0] = 2.0 * np.sinc(u / np.pi)
+    # columns with |u| < 1 take every n >= 1 from the downward pass; the
+    # stand-in u = 1 keeps their unused upward entries finite (at most n!)
+    inv_iu = 1.0 / (1j * np.where(au >= 1.0, u, 1.0))
+    for n in range(1, deg + 1):
+        np.multiply(G[n - 1], -n, out=G[n])
+        G[n] += bnd[n % 2]
+        G[n] *= inv_iu
 
-    if np.any(small):
-        us = u[small]
-        jmax = int(2 * np.max(np.abs(us))) + 40 if us.size else 40
-        term = np.ones(us.shape, dtype=complex)      # (i u)^j / j!
-        Gs = np.zeros((deg + 1,) + us.shape, dtype=complex)
-        for j in range(jmax + 1):
-            if j > 0:
-                term = term * (1j * us) / j
-            for n in range(j % 2, deg + 1, 2):       # n + j even
-                Gs[n] += 2.0 * term / (n + j + 1)
-        G[:, small] = Gs
-
-    rest = ~small
-    if np.any(rest):
-        ur = u[rest]
-        aur = au[rest]
-        eiu = np.exp(1j * ur)
-        emiu = np.conj(eiu)
-        iu = 1j * ur
-        bnd = lambda n: (eiu - (-1.0) ** n * emiu) / iu
-        Gup = np.zeros((deg + 1,) + ur.shape, dtype=complex)
-        Gup[0] = 2.0 * np.sin(ur) / ur
-        prev = Gup[0]
-        for n in range(1, deg + 1):
-            prev = bnd(n) - (n / iu) * prev
-            Gup[n] = prev
-        Gdn = np.zeros_like(Gup)
-        # downward only matters where |u| < deg (otherwise the upward
-        # pass covers every n); restrict it there to avoid overflow of
-        # the unused low-n entries at very large |u|
-        mid = aur < deg + 30
-        if np.any(mid):
-            ium = iu[mid]
-            eium = eiu[mid]
-            emium = emiu[mid]
-            cur = np.zeros(ium.shape, dtype=complex)
-            for n in range(deg + 60, 0, -1):
-                b = (eium - (-1.0) ** n * emium) / ium
-                cur = (b - cur) * ium / n            # = G_{n-1}
-                if n - 1 <= deg:
-                    Gdn[n - 1][mid] = cur
-        ns = np.arange(deg + 1).reshape((deg + 1,) + (1,) * ur.ndim)
-        G[:, rest] = np.where(ns <= aur[None, ...], Gup, Gdn)
+    # downward; the stand-in u = 0 where |u| >= deg + 30 (no row there has
+    # n > |u|) keeps the unused low-n entries from overflowing
+    minus_iu = np.where(au < deg + 30, -1j * u, 0.0)
+    cur = np.zeros_like(minus_iu)
+    for n in range(deg + 60, 0, -1):                    # cur = G_{n-1}
+        cur *= minus_iu
+        cur += bnd[n % 2]
+        cur *= 1.0 / n
+        if n - 1 <= deg:
+            np.copyto(G[n - 1], cur, where=au < n - 1)
     return G
 
 
@@ -129,20 +109,16 @@ def _quadratic_taylor_terms(theta):
     return j
 
 
-def _shift_poly(coeffs, delta):
-    """Coefficients of p(s + delta) from those of p(s); coeffs has the
-    polynomial degree along axis 0."""
-    deg = coeffs.shape[0] - 1
-    out = np.zeros_like(coeffs)
-    binom = np.zeros((deg + 1, deg + 1))
-    for m in range(deg + 1):
-        binom[m, m] = 1.0
-        for i in range(m):
-            binom[m, i] = math.comb(m, i) * delta ** (m - i)
-    for n in range(deg + 1):
-        for m in range(n, deg + 1):
-            out[n] += binom[m, n] * coeffs[m]
-    return out
+# bytes of one (deg + 1, columns) moment block in oscillatory_sum: cache
+# sized and memory flat, yet large enough to amortize per-row numpy calls
+_BLOCK_BYTES = 1 << 19
+
+
+def _shift_matrix(deg1, delta):
+    """T with (c @ T)[n] the s^n coefficient of p(s + delta), where
+    c[m] are the coefficients of p(s): T[m, n] = C(m, n) delta^(m-n)."""
+    return np.array([[math.comb(m, n) * delta ** (m - n) if m >= n else 0.0
+                      for n in range(deg1)] for m in range(deg1)])
 
 
 def oscillatory_sum(coeffs, centers, h, t, a):
@@ -151,38 +127,44 @@ def oscillatory_sum(coeffs, centers, h, t, a):
     coeffs: (n_panels, 7) centered polynomial coefficients, centers the
     panel midpoints, h the panel width, a an array of linear phases.
     Exact in the linear phase; the centered quadratic phase is expanded
-    (with automatic panel halving when |t| h^2 / 4 is large)."""
+    (with automatic panel halving when |t| h^2 / 4 is large).  Every
+    (panel, phase) column is evaluated in blocks of at most
+    ``_BLOCK_BYTES`` per moment array."""
     a = np.asarray(a, dtype=float)
-    out = np.zeros(a.shape, dtype=complex)
     theta = abs(t) * (h / 2.0) ** 2
+    n_panels, deg1 = coeffs.shape
     while theta > 1.2:
-        # halve every panel: re-center the degree-6 polynomials
-        n, deg1 = coeffs.shape
-        new_c = np.empty((2 * n, deg1), dtype=coeffs.dtype)
-        new_centers = np.empty(2 * n)
-        for i in range(n):
-            for s_half, off in ((0, -h / 4.0), (1, h / 4.0)):
-                new_c[2 * i + s_half] = _shift_poly(coeffs[i], off)
-                new_centers[2 * i + s_half] = centers[i] + off
-        coeffs, centers, h = new_c, new_centers, h / 2.0
-        theta = abs(t) * (h / 2.0) ** 2
+        # halve every panel: re-center the polynomials on both halves
+        offs = np.array([-h / 4.0, h / 4.0])
+        coeffs = np.stack([coeffs @ _shift_matrix(deg1, off)
+                           for off in offs], axis=1).reshape(-1, deg1)
+        centers = (centers[:, None] + offs).ravel()
+        n_panels, h, theta = 2 * n_panels, h / 2.0, theta / 4.0
 
     J = _quadratic_taylor_terms(theta)
-    deg = coeffs.shape[1] - 1 + 2 * J
+    deg = deg1 - 1 + 2 * J
     half = h / 2.0
-    powers = half ** (1 + np.arange(deg + 1))
-    qfac = np.array([(-1j * t) ** j / math.factorial(j) for j in range(J + 1)])
-    for i in range(coeffs.shape[0]):
-        tc = centers[i]
-        # d_n: coefficients of (slow poly)(s) * exp(-i t s^2) in s
-        d = np.zeros(deg + 1, dtype=complex)
-        for j in range(J + 1):
-            d[2 * j: 2 * j + coeffs.shape[1]] += qfac[j] * coeffs[i]
-        beta = a - 2.0 * t * tc
-        G = _legendre_moments(beta * half, deg)
-        phase = np.exp(1j * (a * tc - t * tc * tc))
-        out += phase * np.tensordot(d * powers, G, axes=(0, 0))
-    return out
+    # d_n: coefficients of (slow poly)(s) * exp(-i t s^2) in s, times the
+    # (h/2)^(n+1) of the change of variable tau - tau_c = (h/2) s
+    d = np.zeros((n_panels, deg + 1), dtype=complex)
+    for j in range(J + 1):
+        d[:, 2 * j: 2 * j + deg1] += coeffs * (-1j * t) ** j \
+            / math.factorial(j)
+    d *= half ** (1 + np.arange(deg + 1))
+
+    flat = a.ravel()
+    n_cols = n_panels * flat.size
+    block = _BLOCK_BYTES // (16 * (deg + 1))
+    out = np.zeros(flat.size, dtype=complex)
+    for start in range(0, n_cols, block):
+        p, k = np.divmod(np.arange(start, min(start + block, n_cols)),
+                         flat.size)
+        tc, ak = centers[p], flat[k]
+        G = _legendre_moments((ak - 2.0 * t * tc) * half, deg)
+        vals = np.einsum("cn,nc->c", d[p], G) \
+            * np.exp(1j * (ak * tc - t * tc * tc))
+        np.add.at(out, k, vals)
+    return out.reshape(a.shape)
 
 
 # -- the propagator -----------------------------------------------------------

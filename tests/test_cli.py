@@ -143,3 +143,34 @@ def test_couplings_check_and_scan(files, capsys):
     assert code == 0
     doc = _json_out(capsys)
     assert "min_abs" in doc and "plausibly_holds" in doc
+
+
+def _couplings_refused(files, capsys, doc, graph):
+    """couplings-check and couplings-scan both refuse ``doc`` with a JSON
+    invalid-couplings report (exit 1), not a traceback."""
+    path = str(files["dir"] / "couplings.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    reports = []
+    for cmd in ("couplings-check", "couplings-scan"):
+        capsys.readouterr()
+        assert main([cmd, "--graph", graph, "--data", path]) == 1
+        doc_out = _json_out(capsys)
+        assert doc_out["error"] == "invalid-couplings"
+        reports.append(doc_out["problems"])
+    return reports
+
+
+def test_couplings_wrong_block_size_refused(files, capsys, tmp_path):
+    graph = str(tmp_path / "star3.json")
+    save_tree(star_tree(3, 1.0), graph)
+    doc = {"v1": {"type": "general", "A": [[1.0, 0.0], [0.0, 1.0]],
+                  "B": [[0.0, 0.0], [0.0, 0.0]]}}
+    for problems in _couplings_refused(files, capsys, doc, graph):
+        assert any("degree is 3" in p for p in problems)
+
+
+def test_couplings_unknown_type_refused(files, capsys):
+    doc = {"v1": {"type": "robin"}}
+    for problems in _couplings_refused(files, capsys, doc, files["single"]):
+        assert any("robin" in p for p in problems)

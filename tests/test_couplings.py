@@ -120,6 +120,8 @@ def test_coupling_spec_json_and_validation():
     assert bad.validate(tree)
     missing = CouplingSpec({})
     assert any("no coupling" in p for p in missing.validate(tree))
+    with pytest.raises(TypeError):
+        CouplingSpec.from_json([{"type": "delta", "alpha": 1.0}])
 
 
 def test_condition_scan_delta_fails_near_zero():

@@ -8,7 +8,8 @@ from deltatree import (
     attach_vertex, evolve_dispersive, evolve_full, find_eigenvalues,
     free_evolution, line_tree, star_tree,
 )
-from deltatree.evolution import _legendre_moments
+from deltatree.evolution import (_BLOCK_BYTES, _legendre_moments,
+                                 _quadratic_taylor_terms, oscillatory_sum)
 
 
 def _exact_moment(u, n):
@@ -31,12 +32,58 @@ def _exact_moment(u, n):
 def test_legendre_moments_all_regimes():
     deg = 40
     us = np.array([0.0, 0.5, 5.0, 11.5, 12.5, 20.0, 35.0, 49.0, 51.0,
-                   80.0, 500.0, -20.0, -3.0])
+                   80.0, 500.0, -20.0, -3.0, 1e-12, 1e-6, 11.99, 12.01,
+                   deg + 29.9, deg + 30.1])
     G = _legendre_moments(us, deg)
     for i, u in enumerate(us):
         for n in (0, 1, 5, 17, 30, 40):
             want = _exact_moment(float(u), n)
             assert abs(G[n][i] - want) <= 1e-9 * max(abs(want), 1e-4)
+
+
+def _panel_loop_sum(coeffs, centers, h, t, a):
+    """Reference oscillatory sum: one moment block and one tensordot per
+    panel, halving panel by panel until |t| h^2 / 4 <= 1.2."""
+    while abs(t) * (h / 2.0) ** 2 > 1.2:
+        halves, mids = [], []
+        for c, tc in zip(coeffs, centers):
+            for off in (-h / 4.0, h / 4.0):
+                # coefficients of p(s + off)
+                halves.append([sum(math.comb(m, n) * off ** (m - n) * c[m]
+                                   for m in range(n, len(c)))
+                               for n in range(len(c))])
+                mids.append(tc + off)
+        coeffs, centers, h = np.array(halves), np.array(mids), h / 2.0
+    J = _quadratic_taylor_terms(abs(t) * (h / 2.0) ** 2)
+    deg = coeffs.shape[1] - 1 + 2 * J
+    powers = (h / 2.0) ** (1 + np.arange(deg + 1))
+    out = np.zeros(a.shape, dtype=complex)
+    for c, tc in zip(coeffs, centers):
+        d = np.zeros(deg + 1, dtype=complex)
+        for j in range(J + 1):
+            d[2 * j: 2 * j + len(c)] += (-1j * t) ** j / math.factorial(j) * c
+        G = _legendre_moments((a - 2.0 * t * tc) * h / 2.0, deg)
+        out += np.exp(1j * (a * tc - t * tc * tc)) \
+            * np.tensordot(d * powers, G, axes=(0, 0))
+    return out
+
+
+def test_oscillatory_sum_matches_panel_loop():
+    rng = np.random.default_rng(4)
+    h = 0.1
+    centers = h * (np.arange(120) - 59.5)
+    coeffs = rng.normal(size=(120, 7)) + 1j * rng.normal(size=(120, 7))
+    a = np.linspace(-30.0, 30.0, 37)       # 37 does not divide a block
+    cases = [(coeffs, centers, t) for t in (0.3, 5.0, 100.0, 2000.0)]
+    cases.append((coeffs[:1], np.array([0.3]), 5.0))   # a single panel
+    for c, tc, t in cases:
+        if t == 2000.0:
+            assert t * (h / 2.0) ** 2 > 1.2          # the halving path
+        if len(tc) > 1:        # several blocks, even at the least degree 8
+            assert len(tc) * a.size > _BLOCK_BYTES // (16 * 9)
+        want = _panel_loop_sum(c, tc, h, t, a)
+        got = oscillatory_sum(c, tc, h, t, a)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_free_line_matches_closed_form():
