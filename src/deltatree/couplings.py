@@ -12,7 +12,8 @@ compiles: each vertex block has the rows
 sum_j [ a_ij * value_j + b_ij * outgoing_deriv_j ] = RHS.  On a star
 this matrix is A - omega B acting on the ct coefficients, and the
 determinant recursion mirrors the delta one with the column-flip
-matrices A + omega B.
+matrices A + omega B.  The determinant and both scans take their omega
+grid as one blocked matrix stack (``SystemTemplate.det``).
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def assemble_general(tree, couplings, omega, u0=None):
 
 
 def det_general(tree, couplings, omega):
-    D, _, _, _ = assemble_general(tree, couplings, omega)
-    return complex(np.linalg.det(D))
+    return SystemTemplate(tree, couplings).det(omega)
 
 
 def det_general_recursive(tree, couplings, omega):
@@ -186,21 +186,13 @@ def sufficient_condition_scan(tree, couplings, tau_min=1e-3, tau_max=10.0,
     dispersion condition), a strictly positive minimum supports it.
 
     For delta-type vertices the shared normalization factors
-    (i tau + alpha) are divided out, so that the scanned quantity is the
-    one with a uniform bound in the cases settled in the literature
-    (e.g. Kirchhoff couplings give a constant)."""
-    delta_alphas = [rest[0] for kind, *rest in couplings.entries.values()
-                    if kind == "delta"]
+    (i tau + alpha) are divided out (the normalized rows), so that the
+    scanned quantity is the one with a uniform bound in the cases settled
+    in the literature (e.g. Kirchhoff couplings give a constant)."""
     template = SystemTemplate(tree, couplings)
-
-    def value(tau):
-        v = complex(np.linalg.det(template.matrix(1j * tau, normalized=False)))
-        for al in delta_alphas:
-            v /= (1j * tau + al)
-        return abs(v)
-
+    value = lambda tau: np.abs(template.det(1j * tau, normalized=True))
     taus = np.linspace(tau_min, tau_max, n)
-    vals = np.array([value(tau) for tau in taus])
+    vals = value(taus)
     j = int(np.argmin(vals))
     # probe the tau -> 0 limit directly: a value that keeps halving with
     # tau vanishes at the origin however fine the grid is
@@ -223,5 +215,5 @@ def general_eigenvalues(tree, couplings, omega_max=None, n_grid=10000,
                 total += float(np.abs(rest[0]).max() + np.abs(rest[1]).max())
         omega_max = total + 1.0
     template = SystemTemplate(tree, couplings)
-    f = lambda w: np.linalg.det(template.matrix(w, normalized=False)).real
+    f = lambda w: template.det(w).real
     return sign_change_roots(f, omega_max, n_grid, xtol)[0]

@@ -1,10 +1,11 @@
 """Determinants of the resolvent systems and their zero structure.
 
-Three equivalent evaluations of the system determinant are provided:
+Three equivalent evaluations of the system determinant are provided; all
+but the recursion take omega of any shape (``SystemTemplate.det``):
 
 * ``det_direct`` -- LU determinant of the normalized assembly;
 * ``det_recursive`` -- the product recursion over the construction
-  sequence (one scalar factor per grafting step);
+  sequence (one scalar factor per grafting step, one omega per call);
 * ``cleared_det`` -- determinant of the *raw* (unnormalized) assembly
   times (-1)^p, which equals det_direct * prod_v (omega + alpha(v)) and
   is entire in omega.
@@ -66,11 +67,7 @@ def stage_trees(tree):
 
 def det_direct(tree, omega):
     """Determinant of the normalized system matrix."""
-    return complex(np.linalg.det(SystemTemplate(tree).matrix(omega)))
-
-
-def _det_raw(template, omega):
-    return complex(np.linalg.det(template.matrix(omega, normalized=False)))
+    return SystemTemplate(tree).det(omega, normalized=True)
 
 
 def cleared_det(tree, omega):
@@ -80,7 +77,7 @@ def cleared_det(tree, omega):
     finite at omega = -alpha(v) and omega is only restricted to be
     nonzero.
     """
-    return (-1.0) ** tree.p * _det_raw(SystemTemplate(tree), omega)
+    return (-1.0) ** tree.p * SystemTemplate(tree).det(omega)
 
 
 def ratio_by_flip(tree, edge_id, omega, couplings=None):
@@ -88,10 +85,7 @@ def ratio_by_flip(tree, edge_id, omega, couplings=None):
     decaying exponential of the given external edge by a growing one.
     ``couplings`` (a ``CouplingSpec``) defaults to the tree's deltas."""
     template = SystemTemplate(tree, couplings)
-    omega = complex(omega)
-    D = template.matrix(omega, normalized=False)
-    Dt = template.flipped(D, omega, edge_id)
-    return complex(np.linalg.det(Dt) / np.linalg.det(D))
+    return template.det(omega, flip=edge_id) / template.det(omega)
 
 
 @dataclass
@@ -197,7 +191,7 @@ def _winding_at(fn, r, nodes, max_nodes=32768):
     while True:
         try:
             ws = circle(r, n)
-            vals = np.array([fn(w) for w in ws])
+            vals = fn(ws)
             return winding_number(np.append(vals, vals[0])), ws, vals
         except InconclusiveWindingError:
             if n >= max_nodes:
@@ -220,12 +214,6 @@ def _origin_order_of(fn, r, nodes=2048):
         "winding number did not stabilize under radius refinement")
 
 
-def _origin_order(tree, radius=None, nodes=2048):
-    r = radius if radius is not None else origin_radius(tree)
-    template = SystemTemplate(tree)
-    return _origin_order_of(lambda w: _det_raw(template, w), r, nodes)
-
-
 @dataclass
 class ResonanceReport:
     zero_order: int             # order of vanishing of det_direct at 0
@@ -245,7 +233,8 @@ def zero_order_at_origin(tree, radius=None, nodes=2048):
     """
     if any(v.alpha == 0.0 for v in tree.vertices):
         raise ValueError("zero_order_at_origin requires all alpha(v) != 0")
-    order, r, _, vals = _origin_order(tree, radius, nodes)
+    order, r, _, vals = _origin_order_of(
+        SystemTemplate(tree).det, radius or origin_radius(tree), nodes)
     # winding of the raw determinant counts zeros of the normalized
     # determinant only: the cleared factors (omega + alpha) have no zeros
     # inside the circle since r <= min |alpha| / 2
@@ -267,7 +256,8 @@ def generalized_origin_check(tree, radius=None, nodes=2048):
     degree-2 one is no vertex at all, and a higher-degree one scatters
     without adding a zero at the origin.
     """
-    w, r, _, _ = _origin_order(tree, radius, nodes)
+    w, r, _, _ = _origin_order_of(SystemTemplate(tree).det,
+                                  radius or origin_radius(tree), nodes)
     n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
     order = w - n_kirchhoff
     expected = max(tree.p - n_kirchhoff - 1, 0)
@@ -295,26 +285,18 @@ def strip_scan(tree, eps, delta, tau_max, n_tau=2000, n_s=9):
     away from the origin (positive strengths)."""
     ss = np.linspace(-eps, eps, n_s)
     taus = np.linspace(delta, tau_max, n_tau)
-    prod_alpha = lambda w: np.prod([w + v.alpha for v in tree.vertices])
+    # flattened as s, then sign of Im (+ first), then tau: argmin keeps
+    # the first of equal minima in that order
+    grid = (ss[:, None, None]
+            + 1j * np.array([1.0, -1.0])[:, None] * taus).ravel()
     template = SystemTemplate(tree)
-    best = math.inf
-    arg = None
-    max_ratios = {e.id: 0.0 for e in tree.external_edges}
-    for s in ss:
-        for sign in (1.0, -1.0):
-            for tau in taus:
-                w = complex(s, sign * tau)
-                D = template.matrix(w, normalized=False)
-                det_raw = np.linalg.det(D)
-                v = abs((-1.0) ** tree.p * det_raw / prod_alpha(w))
-                if v < best:
-                    best = v
-                    arg = w
-                for e in tree.external_edges:
-                    Dt = template.flipped(D, w, e.id)
-                    ratio = abs(np.linalg.det(Dt) / det_raw)
-                    if ratio > max_ratios[e.id]:
-                        max_ratios[e.id] = float(ratio)
+    vals = np.abs(template.det(grid, normalized=True))
+    j = int(np.argmin(vals))
+    best, arg = float(vals[j]), complex(grid[j])
+    det_raw = template.det(grid)
+    max_ratios = {e.id: float(np.abs(template.det(grid, flip=e.id)
+                                     / det_raw).max())
+                  for e in tree.external_edges}
     violation = best < 1e-10 or any(r >= 1.0 for r in max_ratios.values())
     return ScanReport(best, arg, max_ratios, violation, eps, delta, tau_max)
 
@@ -349,10 +331,8 @@ def stagewise_origin_checks(tree, nodes=2048):
         r = rep.radius
         template = SystemTemplate(stage)
         ws = circle(r, 256)
-        mats = [template.matrix(w, normalized=False) for w in ws]
-        den = contour_taylor([np.linalg.det(D) for D in mats], r, q + 2)
-        num = contour_taylor([np.linalg.det(template.flipped(D, w, edge))
-                              for D, w in zip(mats, ws)], r, q + 2)
+        den = contour_taylor(template.det(ws), r, q + 2)
+        num = contour_taylor(template.det(ws, flip=edge), r, q + 2)
         a, b = den[q - 1], den[q]
         at, bt = num[q - 1], num[q]
         ratio0 = at / a
@@ -388,14 +368,14 @@ def coefficient_function(tree, lambda_edge_id, column, omega):
 
 def _coefficient_det(template, lambda_edge_id, columns, omega):
     """Sum over ``columns`` of ``coefficient_function`` from one
-    assembly."""
+    assembly (omega of any shape)."""
     sys = template.assemble(omega, normalized=False)
-    slot = sys.slot_matrix[:, sys.slot_index[(lambda_edge_id, 0.0)]]
+    slot = sys.slot_matrix[..., sys.slot_index[(lambda_edge_id, 0.0)]]
     total = 0.0
     for column in columns:
         D = sys.matrix.copy()
-        D[:, sys.col_index[column]] = slot
-        total += (-1.0) ** template.tree.p * complex(np.linalg.det(D))
+        D[..., sys.col_index[column]] = slot
+        total = total + (-1.0) ** template.tree.p * np.linalg.det(D)
     return total
 
 
@@ -408,9 +388,10 @@ def coefficient_order(tree, lambda_edge_id, edge_id, nodes=2048):
     if not tree.edge_map[edge_id].is_external:
         columns.append((edge_id, "c"))
     template = SystemTemplate(tree)
-    fn = lambda w: _coefficient_det(template, lambda_edge_id, columns, w)
+    fn = lambda ws: template.blocked(
+        lambda w: _coefficient_det(template, lambda_edge_id, columns, w), ws)
     r = origin_radius(tree)
-    if max(abs(fn(r * z)) for z in (1, 1j, -1, -1j)) == 0.0:
+    if np.abs(fn(r * np.array([1, 1j, -1, -1j]))).max() == 0.0:
         return math.inf
     w, _, _, _ = _origin_order_of(fn, r, nodes)
     return w

@@ -17,7 +17,8 @@ decaying functions of tau obtained from the linear systems.  They are
 computed once per (tree, data) on a fixed panel grid -- solved directly
 away from tau = 0 and through Cauchy-contour Taylor coefficients near
 tau = 0, where the limit exists precisely when the tree is
-non-resonant -- and interpolated by degree-6 polynomials per panel.
+non-resonant -- and interpolated by degree-6 polynomials per panel; the
+contour ring and the far nodes are solved as one blocked matrix stack.
 The remaining oscillatory integrals
 
     int_panel (tau - tau_c)^n e^{-i t tau^2 + i a tau} dtau
@@ -39,7 +40,7 @@ import numpy as np
 
 from .determinants import (circle, contour_taylor, generalized_origin_check,
                            origin_radius)
-from .resolvent import SystemTemplate
+from .resolvent import _BLOCK_BYTES, SystemTemplate
 from .spectral import find_eigenvalues, data_eigen_inner
 from .wavepackets import free_evolution
 
@@ -107,11 +108,6 @@ def _quadratic_taylor_terms(theta):
         j += 1
         term *= theta / j
     return j
-
-
-# bytes of one (deg + 1, columns) moment block in oscillatory_sum: cache
-# sized and memory flat, yet large enough to amortize per-row numpy calls
-_BLOCK_BYTES = 1 << 19
 
 
 def _shift_matrix(deg1, delta):
@@ -246,29 +242,29 @@ class Propagator:
 
     # resolvent weights -------------------------------------------------
 
-    def _solve_weights(self, omega):
-        sys = self._template.assemble(omega, self.u0, normalized=True)
-        return omega * np.linalg.solve(sys.matrix, sys.source)
-
     def _build_weights(self):
         q = self.quad
-        self._template = SystemTemplate(self.tree)
+        template = self._template = SystemTemplate(self.tree)
         r = origin_radius(self.tree)
         tau_cut = q.tau_cut_fraction * r
-        # Cauchy contour around the origin: Taylor coefficients of the
-        # entire-vector omega * coeffs(omega)
-        ring = [self._solve_weights(w) for w in circle(r, q.contour_nodes)]
-        self._taylor = contour_taylor(ring, r, q.taylor_terms)
-
         flat = self.nodes.ravel()
-        vals = np.empty((flat.size, self._taylor.shape[1]), dtype=complex)
-        for i, tau in enumerate(flat):
-            if abs(tau) >= tau_cut:
-                vals[i] = self._solve_weights(1j * tau)
-            else:
-                om = 1j * tau
-                vals[i] = np.polynomial.polynomial.polyval(
-                    om, self._taylor)
+        far = np.abs(flat) >= tau_cut
+
+        def solve(w):
+            sys = template.assemble(w, self.u0, normalized=True)
+            x = np.linalg.solve(sys.matrix, sys.source[..., None])[..., 0]
+            return w[:, None] * x
+
+        # the Cauchy contour around the origin (Taylor coefficients of the
+        # entire vector omega * coeffs(omega)) and the far panel nodes
+        ring = circle(r, q.contour_nodes)
+        solved = template.blocked(solve, np.append(ring, 1j * flat[far]))
+        self._taylor = contour_taylor(solved[:ring.size], r, q.taylor_terms)
+        vals = np.empty((flat.size, template.n), dtype=complex)
+        vals[far] = solved[ring.size:]
+        del solved          # as large as vals: free it before the panel fit
+        vals[~far] = np.polynomial.polynomial.polyval(1j * flat[~far],
+                                                      self._taylor).T
         node_vals = vals.reshape(self.nodes.shape + (-1,))
         # panel interpolation: values at Chebyshev nodes -> centered
         # monomial coefficients

@@ -19,9 +19,10 @@ vertex).  A delta vertex of strength alpha is the instance
     sum of outgoing derivatives - alpha * (value on the first edge) = 0.
 
 ``SystemTemplate`` compiles the blocks of one tree once into flat entry
-arrays; evaluating the system at an omega is then a few numpy
-operations.  Delta flux rows may be normalized by -1/(omega + alpha);
-the raw form is entire in omega.
+arrays and evaluates them over omega of any shape, returning stacks with
+the omega axes leading (a scalar omega is the 0-d case); long omega
+arrays are walked in blocks of ``_BLOCK_BYTES``.  Delta flux rows may be
+normalized by -1/(omega + alpha); the raw form is entire in omega.
 
 Columns and rows are ordered by the construction sequence of the tree:
 the root star contributes one ct column per root edge, every grafting
@@ -39,6 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wavepackets import packet_exp_integral
+
+# bytes per block of a batched evaluation (system-matrix stacks here, moment
+# arrays in evolution.oscillatory_sum): cache sized, memory flat
+_BLOCK_BYTES = 1 << 19
 
 
 class SingularSystemError(Exception):
@@ -98,13 +103,13 @@ def delta_matrices(d, alpha):
 
 @dataclass
 class ResolventSystem:
-    """Assembled linear system D x = T (with omega*T = S @ tvals)."""
+    """Assembled system D x = T (omega*T = S @ tvals), omega axes leading."""
     tree: object
-    omega: complex
-    matrix: np.ndarray          # D, shape (N, N)
-    source: np.ndarray          # T, shape (N,)
-    slot_matrix: np.ndarray     # S, shape (N, M)
-    tvals: np.ndarray           # t_e values at the slots, shape (M,)
+    omega: complex              # or an array of omega
+    matrix: np.ndarray          # D, shape (..., N, N)
+    source: np.ndarray          # T, shape (..., N)
+    slot_matrix: np.ndarray     # S, shape (..., N, M)
+    tvals: np.ndarray           # t_e values at the slots, shape (..., M)
     col_index: dict             # (edge_id, 'c'|'ct') -> column
     slot_index: dict            # (edge_id, x_endpoint) -> slot
     row_labels: list            # ('cont'|'coupling', v, i) or ('flux', v)
@@ -115,8 +120,8 @@ class ResolventSystem:
 
 
 class SystemTemplate:
-    """The resolvent system of one tree, compiled once and evaluated at
-    any omega.
+    """The resolvent system of one tree, compiled once and evaluated
+    over an array of omega.
 
     ``couplings`` (a ``CouplingSpec``) gives the vertex conditions; by
     default every vertex carries the delta coupling of its strength.  In
@@ -198,54 +203,81 @@ class SystemTemplate:
 
     def _row_scale(self, omega):
         """Normalization of the rows: -1/(omega + alpha) on delta flux
-        rows, 1 elsewhere."""
-        den = omega + self._flux_alphas
-        if np.any(np.abs(den) < 1e-14):
-            raise ValueError(f"omega = {omega} is a pole -alpha(v) of the "
-                             "normalized rows")
-        scale = np.ones(self.n, dtype=complex)
-        scale[self._flux_rows] = -1.0 / den
+        rows, 1 elsewhere; shape omega.shape + (n,)."""
+        den = omega[..., None] + self._flux_alphas
+        bad = (np.abs(den) < 1e-14).any(axis=-1)
+        if bad.any():
+            raise ValueError(f"omega = {omega[bad].flat[0]} is a pole "
+                             "-alpha(v) of the normalized rows")
+        scale = np.ones(omega.shape + (self.n,), dtype=complex)
+        scale[..., self._flux_rows] = -1.0 / den
         return scale
 
     def matrix(self, omega, normalized=True):
-        """System matrix D(omega)."""
-        omega = complex(omega)
-        if omega == 0:
+        """System matrices D(omega), shape omega.shape + (n, n)."""
+        omega = np.asarray(omega, dtype=complex)
+        if (omega == 0).any():
             raise ValueError("omega = 0 is excluded; use contour evaluation")
-        D = np.zeros(self.n * self.n, dtype=complex)
-        D[self._idx] = (self._a + omega * self._b) * np.exp(omega * self._kx)
-        D = D.reshape(self.n, self.n)
+        w = omega[..., None]
+        D = np.zeros(omega.shape + (self.n * self.n,), dtype=complex)
+        D[..., self._idx] = (self._a + w * self._b) * np.exp(w * self._kx)
+        D = D.reshape(omega.shape + (self.n, self.n))
         if normalized:
-            D *= self._row_scale(omega)[:, None]
+            D *= self._row_scale(omega)[..., None]
         return D
 
     def flipped(self, D, omega, edge_id):
-        """Copy of the raw D(omega) with the decaying exponential of an
-        external edge replaced by a growing one.  At x = 0 this leaves the
-        value entries alone and reverses the derivative entries, so the
-        edge's column gains 2 omega B[:, j] on its vertex's rows."""
+        """Copy of the raw D(omega) stack with the decaying exponential of
+        an external edge replaced by a growing one.  At x = 0 this leaves
+        the value entries alone and reverses the derivative entries, so
+        the edge's column gains 2 omega B[:, j] on its vertex's rows."""
         if edge_id not in self._flips:
             raise ValueError("ratio is defined for external edges only")
         col, rows, b = self._flips[edge_id]
         Dt = D.copy()
-        Dt[rows, col] += 2.0 * omega * b
+        Dt[..., rows, col] += 2.0 * np.asarray(omega)[..., None] * b
         return Dt
 
     def assemble(self, omega, u0=None, normalized=True):
         """The full system at omega: matrix, source and slot data."""
-        omega = complex(omega)
+        omega = np.asarray(omega, dtype=complex)
         D = self.matrix(omega, normalized)
-        S = self._Sa + omega * self._Sb
+        S = self._Sa + omega[..., None, None] * self._Sb
         if normalized:
-            S *= self._row_scale(omega)[:, None]
-        tvals = np.zeros(len(self.slot_index), dtype=complex)
+            S *= self._row_scale(omega)[..., None]
+        tvals = np.zeros(omega.shape + (len(self.slot_index),), dtype=complex)
         for eid, (slots, xs, length) in self._edge_slots.items():
             packets = u0.edge_packets(eid) if u0 is not None else ()
             if packets:
-                tvals[slots] = t_edge(packets, length, xs, omega)
-        return ResolventSystem(self.tree, omega, D, (S @ tvals) / omega, S,
-                               tvals, self.col_index, self.slot_index,
+                tvals[..., slots] = t_edge(packets, length, xs,
+                                           omega[..., None])
+        source = (S @ tvals[..., None])[..., 0] / omega[..., None]
+        return ResolventSystem(self.tree, omega[()], D, source, S, tvals,
+                               self.col_index, self.slot_index,
                                self.row_labels, normalized)
+
+    def blocked(self, fn, omega):
+        """fn (taking and returning a leading 1-d omega axis) over omega of
+        any shape, in blocks of at most ``_BLOCK_BYTES`` of matrices."""
+        omega = np.asarray(omega, dtype=complex)
+        flat = omega.reshape(-1)
+        step = max(1, _BLOCK_BYTES // (16 * self.n * self.n))
+        first = fn(flat[:step])
+        out = np.empty(flat.shape + first.shape[1:], dtype=first.dtype)
+        out[:step] = first
+        for i in range(step, flat.size, step):
+            out[i:i + step] = fn(flat[i:i + step])
+        return out.reshape(omega.shape + out.shape[1:])[()]
+
+    def det(self, omega, normalized=False, flip=None):
+        """det D(omega), raw unless ``normalized``; with ``flip`` (an
+        external edge) det ``flipped(D, omega, flip)`` of the raw D."""
+        def block(w):
+            D = self.matrix(w, normalized)
+            if flip is not None:
+                D = self.flipped(D, w, flip)
+            return np.linalg.det(D)
+        return self.blocked(block, omega)
 
 
 def assemble_system(tree, omega, u0=None, normalized=True):
@@ -253,7 +285,7 @@ def assemble_system(tree, omega, u0=None, normalized=True):
 
     With ``normalized`` the flux rows are scaled by -1/(omega + alpha(v))
     (requires omega != -alpha(v)); the raw form is entire in omega.
-    Loops over omega should compile one ``SystemTemplate`` instead.
+    Repeated calls should compile one ``SystemTemplate`` instead.
     """
     return SystemTemplate(tree).assemble(omega, u0, normalized)
 

@@ -111,17 +111,15 @@ class SpectralData:
 def sign_change_roots(f, omega_max, n_grid=10000, xtol=1e-12):
     """Roots of the real function f on (0, omega_max]: sign changes on a
     uniform grid, each bracket refined by Brent's method, near-coincident
-    roots merged.  Returns (roots, warnings)."""
+    roots merged.  Returns (roots, warnings).  ``f`` takes an array: it
+    is called once on the whole grid, then with scalars by Brent."""
     grid = np.linspace(1e-6, omega_max, n_grid)
-    vals = np.array([f(w) for w in grid])
+    vals = f(grid)
     # compare signs, not products: neighbouring values may be huge
     change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif change[i]:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=xtol))
+    roots = list(grid[:-1][vals[:-1] == 0.0])
+    roots += [brentq(f, grid[i], grid[i + 1], xtol=xtol)
+              for i in np.flatnonzero(change)]
     warnings = []
     merged = []
     for r in sorted(roots):
@@ -139,8 +137,7 @@ def find_eigenvalues(tree, omega_max=None, n_grid=10000, xtol=1e-12):
         omega_max = omega_bracket(tree)
     template = SystemTemplate(tree)
     sign = (-1.0) ** tree.p
-    f = lambda w: sign * np.linalg.det(
-        template.matrix(w, normalized=False)).real
+    f = lambda w: sign * template.det(w).real
     merged, warnings = sign_change_roots(f, omega_max, n_grid, xtol)
     funcs = [eigenfunction_at(tree, w) for w in merged]
     for w, phi in zip(merged, funcs):

@@ -145,6 +145,38 @@ def test_condition_scan_kirchhoff_constant():
     assert abs(rep.min_abs - 2.0) < 1e-10     # |det| = 2 everywhere
 
 
+def _loop_condition_values(tree, spec, taus):
+    """|det D(i tau)| with the delta factors (i tau + alpha) divided out,
+    one tau at a time."""
+    template = SystemTemplate(tree, spec)
+    alphas = [rest[0] for kind, *rest in spec.entries.values()
+              if kind == "delta"]
+    out = []
+    for tau in taus:
+        v = complex(np.linalg.det(template.matrix(1j * tau,
+                                                  normalized=False)))
+        for al in alphas:
+            v /= (1j * tau + al)
+        out.append(abs(v))
+    return np.array(out)
+
+
+def test_condition_scan_matches_per_tau_loop():
+    tree = attach_vertex(line_tree([1.0, -0.5], [0.8]), "e3", 0.6, 0.7, 3)
+    B = np.array([[0.3, 0.1, -0.2], [0.1, -0.4, 0.5], [-0.2, 0.5, 0.2]])
+    mixed = CouplingSpec({"v1": ("delta", 1.0), "v2": ("delta", -0.5),
+                          "v3": ("general", np.eye(3), B)})
+    for spec in (CouplingSpec.all_delta(tree), mixed):
+        rep = sufficient_condition_scan(tree, spec, tau_min=1e-3,
+                                        tau_max=6.0, n=500)
+        want = _loop_condition_values(tree, spec, rep.taus)
+        assert np.abs(rep.values - want).max() <= 1e-12 * want.max()
+        assert rep.argmin_tau == rep.taus[int(np.argmin(want))]
+        assert abs(rep.min_abs - want.min()) <= 1e-12 * want.min()
+        half = _loop_condition_values(tree, spec, [0.5e-3])[0]
+        assert rep.vanishing_at_zero == (half <= 0.6 * want[0])
+
+
 def test_condition_scan_dirichlet_star_positive():
     tree = star_tree(3, 0.0)
     A, B = dirichlet_matrices(3)

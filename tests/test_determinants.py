@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from deltatree import (
-    appendix_a_checks, attach_vertex, cleared_det, coefficient_order,
-    det_direct, det_recursive, generalized_origin_check, line_tree,
-    ratio_by_flip, stage_trees, star_tree, stagewise_origin_checks,
-    strip_scan, winding_number, zero_order_at_origin,
+    SystemTemplate, appendix_a_checks, attach_vertex, cleared_det,
+    coefficient_order, det_direct, det_recursive, generalized_origin_check,
+    line_tree, ratio_by_flip, stage_trees, star_tree,
+    stagewise_origin_checks, strip_scan, winding_number,
+    zero_order_at_origin,
 )
 from conftest import random_tree
 
@@ -174,6 +175,43 @@ def test_strip_scan_random_positive():
     rep = strip_scan(tree, eps=0.002, delta=0.2, tau_max=5.0,
                      n_tau=120, n_s=3)
     assert not rep.violation
+
+
+def _loop_strip_scan(tree, eps, delta, tau_max, n_tau, n_s):
+    """min |det_direct|, its argmin and the max flip ratios by the triple
+    loop over s, sign of Im omega and tau."""
+    template = SystemTemplate(tree)
+    prod_alpha = lambda w: np.prod([w + v.alpha for v in tree.vertices])
+    best, arg = math.inf, None
+    max_ratios = {e.id: 0.0 for e in tree.external_edges}
+    for s in np.linspace(-eps, eps, n_s):
+        for sign in (1.0, -1.0):
+            for tau in np.linspace(delta, tau_max, n_tau):
+                w = complex(s, sign * tau)
+                D = template.matrix(w, normalized=False)
+                det_raw = np.linalg.det(D)
+                v = abs((-1.0) ** tree.p * det_raw / prod_alpha(w))
+                if v < best:
+                    best, arg = v, w
+                for e in tree.external_edges:
+                    ratio = abs(np.linalg.det(template.flipped(D, w, e.id))
+                                / det_raw)
+                    max_ratios[e.id] = max(max_ratios[e.id], float(ratio))
+    return best, arg, max_ratios
+
+
+def test_strip_scan_matches_triple_loop():
+    rng = np.random.default_rng(53)
+    for tree in (random_tree(rng, 3, positive=True), star_tree(3, 1.0),
+                 line_tree([1.0, -0.5], [0.7])):
+        args = (0.01, 0.2, 5.0, 150, 3)
+        rep = strip_scan(tree, *args)
+        best, arg, max_ratios = _loop_strip_scan(tree, *args)
+        assert rep.argmin == arg
+        assert abs(rep.min_abs - best) <= 1e-12 * best
+        assert rep.max_ratios.keys() == max_ratios.keys()
+        for eid, r in max_ratios.items():
+            assert abs(rep.max_ratios[eid] - r) <= 1e-12 * r
 
 
 def test_ratio_modulus_below_one_on_axis():

@@ -5,9 +5,10 @@ import pytest
 
 from deltatree import (
     GraphFunction, Packet, Propagator, QuadratureSpec, ResonantTreeError,
-    attach_vertex, evolve_dispersive, evolve_full, find_eigenvalues,
-    free_evolution, line_tree, star_tree,
+    SystemTemplate, attach_vertex, evolve_dispersive, evolve_full,
+    find_eigenvalues, free_evolution, line_tree, origin_radius, star_tree,
 )
+from deltatree.determinants import circle, contour_taylor
 from deltatree.evolution import (_BLOCK_BYTES, _legendre_moments,
                                  _quadratic_taylor_terms, oscillatory_sum)
 
@@ -154,6 +155,50 @@ def test_quadrature_self_consistency():
         scale = max(np.max(np.abs(b["e1"])), np.max(np.abs(b["e2"])))
         for eid in ("e1", "e2"):
             assert np.max(np.abs(a[eid] - b[eid])) <= 1e-4 * scale
+
+
+def _loop_panel_coeffs(prop):
+    """Panel coefficients from one resolvent solve per contour and panel
+    node (the per-node loop the batched build replaced)."""
+    q = prop.quad
+    template = SystemTemplate(prop.tree)
+    r = origin_radius(prop.tree)
+
+    def solve(w):
+        sys = template.assemble(w, prop.u0, normalized=True)
+        return w * np.linalg.solve(sys.matrix, sys.source)
+
+    taylor = contour_taylor([solve(w) for w in circle(r, q.contour_nodes)],
+                            r, q.taylor_terms)
+    vals = [solve(1j * tau) if abs(tau) >= q.tau_cut_fraction * r
+            else np.polynomial.polynomial.polyval(1j * tau, taylor)
+            for tau in prop.nodes.ravel()]
+    node_vals = np.array(vals).reshape(prop.nodes.shape + (-1,))
+    Minv = np.linalg.inv(np.vander(prop._CHEB, 7, increasing=True))
+    scalepow = (2.0 / prop.h) ** np.arange(7)
+    return np.einsum("mj,pjn->pmn", Minv, node_vals) \
+        * scalepow[None, :, None], node_vals
+
+
+def test_batched_weights_match_per_node_solves():
+    tree = line_tree([1.0, -0.4], [1.3])
+    u0 = GraphFunction(tree, {"e1": [Packet(1.0 + 0.5j, 5.0, 0.8, -1.0)]})
+    prop = Propagator(tree, u0)
+    coeffs, node_vals = _loop_panel_coeffs(prop)
+    # node values back from the batched panel polynomials
+    V = np.vander(0.5 * prop.h * prop._CHEB, 7, increasing=True)
+    got = np.einsum("jm,pmn->pjn", V, prop._panel_coeffs)
+    assert np.abs(got - node_vals).max() <= 1e-12 * np.abs(node_vals).max()
+    ref = Propagator.__new__(Propagator)
+    ref.__dict__.update(prop.__dict__, _panel_coeffs=coeffs)
+    x = np.linspace(0.0, 8.0, 33)
+    samples = {"e1": x, "e2": np.linspace(0.0, 1.3, 9), "e3": x}
+    for t in (0.3, 3.0):
+        a = prop.dispersive(t, samples)
+        b = ref.dispersive(t, samples)
+        for eid in samples:
+            assert np.abs(a[eid] - b[eid]).max() <= 1e-12 * max(
+                1.0, np.abs(b[eid]).max())
 
 
 def test_unitarity_on_dispersive_subspace():

@@ -5,10 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from deltatree import (
-    GraphFunction, Packet, assemble_system, evaluate_resolvent, line_tree,
+    CouplingSpec, GraphFunction, Packet, SystemTemplate, assemble_system,
+    attach_vertex, evaluate_resolvent, line_tree,
     resolvent_defect, solve_resolvent, star_tree, t_edge,
     vertex_flux_defect, vertex_value,
 )
+from deltatree.resolvent import _BLOCK_BYTES
 from conftest import random_tree
 
 
@@ -91,6 +93,65 @@ def test_assemble_errors():
         assemble_system(tree, 0.0)
     with pytest.raises(ValueError):
         assemble_system(tree, -1.0)   # omega = -alpha normalization pole
+    # an array names its first offending omega, not the whole array
+    with pytest.raises(ValueError, match=r"^omega = \(-1\+0j\) is a pole"):
+        assemble_system(tree, np.array([0.5, 2.0j, -1.0, 3.0]))
+    with pytest.raises(ValueError, match=r"^omega = 0 is excluded"):
+        assemble_system(tree, np.array([0.5, 0.0, 3.0]))
+
+
+def _batch_templates():
+    """The default delta template and an (A, B) template (a Robin-type
+    vertex A = 1, B symmetric, next to delta vertices) on one tree."""
+    tree = attach_vertex(line_tree([1.0, 2.0], [1.0]), "e3", 0.7, 0.5, 3)
+    B = np.array([[0.3, 0.1, -0.2], [0.1, -0.4, 0.5], [-0.2, 0.5, 0.2]])
+    entries = {v.id: ("delta", v.alpha) for v in tree.vertices}
+    entries["v3"] = ("general", np.eye(3), B)
+    return [SystemTemplate(tree), SystemTemplate(tree, CouplingSpec(entries))]
+
+
+def _close(got, want, rtol=1e-14):
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def test_batched_template_matches_per_omega_loop():
+    rng = np.random.default_rng(3)
+    for template in _batch_templates():
+        tree = template.tree
+        u0 = GraphFunction(tree, {e.id: [Packet(1.0 - 0.5j, 1.2, 0.5, 0.7)]
+                                  for e in tree.edges})
+        step = _BLOCK_BYTES // (16 * template.n ** 2)
+        m = step + step // 3 + 1       # two blocks, the second one partial
+        assert m % step != 0
+        ws = np.concatenate([
+            rng.uniform(0.1, 3.0, m // 3)
+            + 1j * rng.uniform(-4.0, 4.0, m // 3),          # complex
+            1j * rng.uniform(-6.0, 6.0, m // 3),            # imaginary
+            rng.uniform(0.1, 3.0, m - 2 * (m // 3)) + 0j])  # real
+        ws = ws[rng.permutation(m)]
+        ext = tree.external_edges[-1].id
+        for normalized in (True, False):
+            mats = np.array([template.matrix(w, normalized) for w in ws])
+            assert _close(template.matrix(ws, normalized), mats)
+            # a 2-d omega array gives the same stack with two leading axes
+            grid = template.matrix(ws[:-1].reshape(2, -1), normalized)
+            assert _close(grid.reshape(mats[:-1].shape), mats[:-1])
+            want = np.array([np.linalg.det(D) for D in mats])
+            assert _close(template.det(ws, normalized), want)
+            want = np.array([template.assemble(w, u0, normalized).source
+                             for w in ws])
+            assert _close(template.assemble(ws, u0, normalized).source, want)
+        # mats holds the raw matrices from the last pass
+        flips = np.array([template.flipped(D, w, ext)
+                          for D, w in zip(mats, ws)])
+        assert _close(template.flipped(mats, ws, ext), flips)
+        want = np.array([np.linalg.det(D) for D in flips])
+        assert _close(template.det(ws, flip=ext), want)
+        # a scalar omega is the 0-d case: same shapes as before batching
+        sys = template.assemble(ws[0], u0)
+        assert sys.matrix.shape == (template.n, template.n)
+        assert sys.source.shape == (template.n,)
+        assert np.ndim(template.det(ws[0])) == 0
 
 
 def test_system_is_real_for_real_omega():
