@@ -31,9 +31,8 @@ from .determinants import (
     appendix_a_checks, coefficient_function, coefficient_order,
 )
 from .spectral import (
-    Eigenfunction, SpectralData, ProjectedFunction,
+    Eigenfunction, SpectralData, ProjectedFunction, IncompleteSpectrumError,
     omega_bracket, eigen_inner, data_eigen_inner, find_eigenvalues,
-    eigenfunction_at,
 )
 from .evolution import (
     ResonantTreeError, QuadratureSpec, Propagator, DecayReport,

@@ -3,8 +3,10 @@
 Subcommands: validate, spectrum, resonance, strip-scan, appendix-a,
 evolve, decay, oracle-compare, couplings-check, couplings-scan.
 
-Exit codes: 0 success, 1 validation/resonance refusal (machine-readable
-JSON report on stdout), 2 usage errors (argparse or unreadable files).
+Exit codes: 0 success, 1 refusal (invalid input, resonance, a winding
+count that does not settle, an incomplete bound-state count; a
+machine-readable JSON report on stdout), 2 usage errors (argparse or
+unreadable files).
 All outputs are deterministic for identical inputs.
 """
 
@@ -345,6 +347,10 @@ def main(argv=None):
         return args.fn(args)
     except _InvalidInput as exc:
         return _refuse(exc.report)
+    except det.InconclusiveWindingError as exc:
+        return _refuse({"error": "inconclusive-winding", "detail": str(exc)})
+    except sp.IncompleteSpectrumError as exc:
+        return _refuse({"error": "incomplete-spectrum", "detail": str(exc)})
     except (OSError, json.JSONDecodeError) as exc:
         return _fail_usage(f"cannot read input: {exc}")
 

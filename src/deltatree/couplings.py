@@ -216,4 +216,4 @@ def general_eigenvalues(tree, couplings, omega_max=None, n_grid=10000,
         omega_max = total + 1.0
     template = SystemTemplate(tree, couplings)
     f = lambda w: template.det(w).real
-    return sign_change_roots(f, omega_max, n_grid, xtol)[0]
+    return sign_change_roots(f, omega_max, n_grid, xtol)

@@ -1,9 +1,31 @@
 """Point spectrum of the tree Hamiltonian and spectral projections.
 
-Negative eigenvalues are -omega^2 with omega > 0 a zero of the cleared
-determinant on the positive real axis.  Eigenfunctions are pure
-exponentials per edge (kernel vectors of the raw system matrix); all
-inner products against exponentials and Gaussian packets are exact.
+Negative eigenvalues are -omega^2 with omega > 0, counted with the
+vertex Dirichlet-to-Neumann matrix Lambda(omega): the p x p symmetric
+map from vertex values f to alpha f minus the outgoing derivatives of
+the solution of -u'' + omega^2 u = 0 that equals f at the vertices and
+decays on the rays.  Its diagonal is alpha(v) + omega per ray + omega
+coth(omega L) per internal edge, its off-diagonal -omega / sinh(omega L)
+per internal edge.  f^T Lambda f is the form of H + omega^2 on that
+solution, with derivative 2 omega ||u||^2 > 0 in omega, and
+-u'' + omega^2 u is positive on an edge with Dirichlet ends; so (Sylvester
+inertia) Lambda(omega) has as many negative eigenvalues as there are
+bound states with omega_k > omega, counted with multiplicity.
+
+``find_eigenvalues`` bisects (1e-6, omega_max] on that count (the idea
+of LAPACK ``dstebz``, Barth-Martin-Wilkinson 1967) until each interval
+holds one jump, then refines the root by Brent's method on the
+eigenvalue of Lambda that crosses zero; a cluster narrower than ``xtol``
+is one root of multiplicity equal to its jump, repeated that often in
+``SpectralData.omegas``.  It raises ``IncompleteSpectrumError`` rather
+than return a partial spectrum.  Eigenfunctions are kernel vectors of
+Lambda(omega_k) lifted to the edges (sinh interpolation on internal
+edges, f(v) e^{-omega x} on rays), orthonormalized within a multiple
+root by the exact ``eigen_inner`` Gram matrix.  They are pure
+exponentials per edge, so all inner products against exponentials and
+Gaussian packets are exact.  General (A, B) couplings
+(``couplings.general_eigenvalues``) keep the determinant scan
+``sign_change_roots``.
 """
 
 from __future__ import annotations
@@ -14,8 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .resolvent import SystemTemplate, assemble_system
 from .wavepackets import packet_exp_integral
+
+OMEGA_MIN = 1e-6        # bound states with omega <= this are not sought
+
+
+class IncompleteSpectrumError(RuntimeError):
+    """The count of bound states and the roots found disagree."""
 
 
 def omega_bracket(tree):
@@ -25,12 +52,66 @@ def omega_bracket(tree):
     return sum(max(0.0, -v.alpha) for v in tree.vertices) + 1.0
 
 
+class DtNMatrix:
+    """Vertex Dirichlet-to-Neumann matrix Lambda(omega) of a delta tree,
+    for real omega > 0 (rows and columns in ``tree.vertices`` order)."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        index = {v.id: i for i, v in enumerate(tree.vertices)}
+        self.internal = tree.internal_edges
+        self.rays = [(e.id, index[e.tail]) for e in tree.external_edges]
+        self.alpha = np.array([v.alpha for v in tree.vertices])
+        self.n_rays = np.bincount(np.array([i for _, i in self.rays],
+                                           dtype=int), minlength=tree.p)
+        self.tail = np.array([index[e.tail] for e in self.internal],
+                             dtype=int)
+        self.head = np.array([index[e.head] for e in self.internal],
+                             dtype=int)
+        self.length = np.array([e.length for e in self.internal])
+
+    def _edge_terms(self, omega):
+        """exp(-omega L) and 1 - exp(-2 omega L) per internal edge; the
+        second by expm1, so that the quotients below stay accurate as
+        omega -> 0 (they tend to 1 / L)."""
+        return (np.exp(-omega * self.length),
+                -np.expm1(-2.0 * omega * self.length))
+
+    def __call__(self, omega):
+        p = self.tree.p
+        decay, gap = self._edge_terms(omega)
+        diag = 2.0 * omega / gap - omega        # omega coth(omega L)
+        off = 2.0 * omega * decay / gap         # omega / sinh(omega L)
+        lam = np.diag(self.alpha + omega * self.n_rays
+                      + np.bincount(self.tail, diag, p)
+                      + np.bincount(self.head, diag, p))
+        lam[self.tail, self.head] = -off
+        lam[self.head, self.tail] = -off
+        return lam
+
+    def count(self, omega):
+        """Number of bound states with omega_k > omega."""
+        return int(np.count_nonzero(np.linalg.eigvalsh(self(omega)) < 0.0))
+
+    def lift(self, omega, f, multiplicity=1):
+        """The solution of -u'' + omega^2 u = 0 with vertex values f that
+        decays on the rays, as an (unnormalized) Eigenfunction."""
+        decay, gap = self._edge_terms(omega)
+        fa, fb = f[self.tail], f[self.head]
+        c = (fb - fa * decay) * decay / gap
+        ct = (fa - fb * decay) / gap
+        coeffs = {e.id: (float(c[j]), float(ct[j]))
+                  for j, e in enumerate(self.internal)}
+        coeffs.update((eid, (0.0, float(f[i]))) for eid, i in self.rays)
+        return Eigenfunction(self.tree, float(omega), coeffs, multiplicity)
+
+
 @dataclass
 class Eigenfunction:
     tree: object
     omega: float                 # eigenvalue is -omega^2
     coeffs: dict                 # edge_id -> (c, ct), real floats
-    simplicity_gap: float        # sigma_{N-1} / sigma_1 of the system matrix
+    multiplicity: int            # dimension of the eigenspace of -omega^2
 
     @property
     def eigenvalue(self):
@@ -92,9 +173,8 @@ def data_eigen_inner(u0, phi):
 @dataclass
 class SpectralData:
     tree: object
-    omegas: list                 # ascending
-    eigenfunctions: list         # L2-normalized Eigenfunction objects
-    warnings: list
+    omegas: list                 # ascending, a root repeated per multiplicity
+    eigenfunctions: list         # L2-orthonormal Eigenfunction objects
 
     def to_json(self):
         return {
@@ -104,75 +184,92 @@ class SpectralData:
                  for eid, (c, ct) in phi.coeffs.items()}
                 for phi in self.eigenfunctions
             ],
-            "warnings": list(self.warnings),
         }
 
 
 def sign_change_roots(f, omega_max, n_grid=10000, xtol=1e-12):
-    """Roots of the real function f on (0, omega_max]: sign changes on a
+    """Roots of the real function f on (1e-6, omega_max]: sign changes on a
     uniform grid, each bracket refined by Brent's method, near-coincident
-    roots merged.  Returns (roots, warnings).  ``f`` takes an array: it
-    is called once on the whole grid, then with scalars by Brent."""
-    grid = np.linspace(1e-6, omega_max, n_grid)
+    roots merged.  ``f`` takes an array: it is called once on the whole
+    grid, then with scalars by Brent."""
+    grid = np.linspace(OMEGA_MIN, omega_max, n_grid)
     vals = f(grid)
     # compare signs, not products: neighbouring values may be huge
     change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     roots = list(grid[:-1][vals[:-1] == 0.0])
     roots += [brentq(f, grid[i], grid[i + 1], xtol=xtol)
               for i in np.flatnonzero(change)]
-    warnings = []
     merged = []
     for r in sorted(roots):
-        if merged and abs(r - merged[-1]) < 10 * xtol:
-            warnings.append(f"nearly coincident roots near omega={r:.6g}")
+        if not merged or abs(r - merged[-1]) >= 10 * xtol:
+            merged.append(r)
+    return merged
+
+
+def count_roots(dtn, lo, hi, xtol=1e-12):
+    """Roots of det Lambda on (lo, hi] as ascending (omega, multiplicity)
+    pairs: bisection on ``dtn.count`` until each interval holds one jump
+    of the count, then Brent's method on the eigenvalue of Lambda that
+    crosses zero in it.  A rounding-level dip of the count is clamped
+    into its interval's range, so the multiplicities always add up to
+    count(lo) - count(hi)."""
+    roots = []
+    stack = [(lo, hi, dtn.count(lo), dtn.count(hi))]
+    while stack:
+        a, b, na, nb = stack.pop()
+        if na == nb:
             continue
-        merged.append(r)
-    return merged, warnings
+        if b - a <= xtol:
+            roots.append((0.5 * (a + b), na - nb))
+        elif na - nb == 1:
+            # eigenvalue nb (ascending) is < 0 at a and >= 0 at b
+            crossing = lambda w: np.linalg.eigvalsh(dtn(w))[nb]
+            roots.append((brentq(crossing, a, b, xtol=xtol), 1))
+        else:
+            m = 0.5 * (a + b)
+            nm = min(max(dtn.count(m), nb), na)
+            stack += [(m, b, nm, nb), (a, m, na, nm)]
+    return sorted(roots)
 
 
-def find_eigenvalues(tree, omega_max=None, n_grid=10000, xtol=1e-12):
-    """All bound states: scan the cleared determinant for sign changes
-    on (0, omega_max] and refine each bracket by bisection."""
+def _eigenspace(dtn, omega, multiplicity):
+    """Orthonormal eigenfunctions at a root of det Lambda: the kernel
+    vectors of Lambda(omega), lifted to the edges and orthonormalized
+    with the exact Gram matrix."""
+    vals, vecs = np.linalg.eigh(dtn(omega))
+    f = vecs[:, np.argsort(np.abs(vals))[:multiplicity]].T
+    lifts = [dtn.lift(omega, row) for row in f]
+    gram = [[eigen_inner(a, b) for b in lifts] for a in lifts]
+    f = np.linalg.solve(np.linalg.cholesky(gram), f)
+    # fix each sign: make the largest vertex value positive
+    return [dtn.lift(omega, row * np.sign(row[np.argmax(np.abs(row))]),
+                     multiplicity) for row in f]
+
+
+def find_eigenvalues(tree, omega_max=None, xtol=1e-12):
+    """All bound states with omega > 1e-6, counted with multiplicity by
+    the inertia of the vertex Dirichlet-to-Neumann matrix (module
+    docstring).  Raises ``IncompleteSpectrumError`` when omega_max lies
+    below a bound state or the roots do not add up to the count."""
     if omega_max is None:
         omega_max = omega_bracket(tree)
-    template = SystemTemplate(tree)
-    sign = (-1.0) ** tree.p
-    f = lambda w: sign * template.det(w).real
-    merged, warnings = sign_change_roots(f, omega_max, n_grid, xtol)
-    funcs = [eigenfunction_at(tree, w) for w in merged]
-    for w, phi in zip(merged, funcs):
-        if phi.simplicity_gap < 1e-6:
-            warnings.append(
-                f"eigenvalue at omega={w:.6g} may not be simple "
-                f"(relative spectral gap {phi.simplicity_gap:.2e})")
-    return SpectralData(tree, merged, funcs, warnings)
-
-
-def eigenfunction_at(tree, omega):
-    """Normalized eigenfunction from the kernel of the raw system matrix."""
-    sys = assemble_system(tree, omega, normalized=False)
-    U, sv, Vh = np.linalg.svd(sys.matrix)
-    gap = float(sv[-2] / sv[0]) if len(sv) > 1 else 1.0
-    vec = Vh[-1].conj()
-    # the matrix is real for real omega: rotate the kernel vector real
-    j = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.abs(vec[j]) / vec[j])
-    vec = vec.real
-    coeffs = {}
-    for e in tree.edges:
-        c = 0.0
-        if not e.is_external:
-            c = float(vec[sys.col_index[(e.id, "c")]])
-        ct = float(vec[sys.col_index[(e.id, "ct")]])
-        coeffs[e.id] = (c, ct)
-    phi = Eigenfunction(tree, float(omega), coeffs, gap)
-    nrm = math.sqrt(eigen_inner(phi, phi))
-    coeffs = {eid: (c / nrm, ct / nrm) for eid, (c, ct) in coeffs.items()}
-    # fix an overall sign: make the largest coefficient positive
-    flat = [v for pair in coeffs.values() for v in pair]
-    if flat[int(np.argmax(np.abs(flat)))] < 0:
-        coeffs = {eid: (-c, -ct) for eid, (c, ct) in coeffs.items()}
-    return Eigenfunction(tree, float(omega), coeffs, gap)
+    dtn = DtNMatrix(tree)
+    above = dtn.count(omega_max)
+    if above:
+        raise IncompleteSpectrumError(
+            f"{above} bound state(s) lie above omega_max={omega_max:.6g}")
+    total = dtn.count(OMEGA_MIN)
+    roots = count_roots(dtn, OMEGA_MIN, omega_max, xtol)
+    found = sum(m for _, m in roots)
+    if found != total:
+        raise IncompleteSpectrumError(
+            f"{found} bound state(s) found, the count on "
+            f"({OMEGA_MIN:g}, {omega_max:.6g}] is {total}")
+    omegas, funcs = [], []
+    for w, m in roots:
+        omegas += [float(w)] * m
+        funcs += _eigenspace(dtn, w, m)
+    return SpectralData(tree, omegas, funcs)
 
 
 # -- projections --------------------------------------------------------------

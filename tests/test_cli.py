@@ -3,8 +3,10 @@ import json
 import pytest
 
 from deltatree import (
-    GraphFunction, Packet, function_to_json, line_tree, save_tree, star_tree,
+    GraphFunction, Packet, attach_vertex, function_to_json, line_tree,
+    save_tree, star_tree,
 )
+import deltatree.spectral as spectral
 from deltatree.cli import main
 
 
@@ -174,3 +176,57 @@ def test_couplings_unknown_type_refused(files, capsys):
     doc = {"v1": {"type": "robin"}}
     for problems in _couplings_refused(files, capsys, doc, files["single"]):
         assert any("robin" in p for p in problems)
+
+
+def _write(tmp_path, name, tree, packets):
+    graph = str(tmp_path / f"{name}.json")
+    data = str(tmp_path / f"{name}_u0.json")
+    save_tree(tree, graph)
+    with open(data, "w") as fh:
+        json.dump(function_to_json(GraphFunction(tree, packets)), fh)
+    return graph, data
+
+
+def test_inconclusive_winding_refused(capsys, tmp_path):
+    # the origin circle of radius |alpha| / 2 passes through the zero
+    # omega = -alpha / 2 of the degree-2 vertex factor, so the winding
+    # count does not settle: a JSON refusal, not a traceback
+    graph, data = _write(tmp_path, "weak", star_tree(2, 0.15),
+                         {"e1": [Packet(1.0, 6.0, 1.0, -1.0)]})
+    for args in (["resonance", "--graph", graph],
+                 ["evolve", "--graph", graph, "--data", data,
+                  "--times", "0.5"]):
+        capsys.readouterr()
+        assert main(args) == 1
+        doc = _json_out(capsys)
+        assert doc["error"] == "inconclusive-winding"
+        assert "phase step" in doc["detail"]
+
+
+def test_oracle_compare_with_double_bound_state(capsys, tmp_path):
+    # three alpha = -2 arms around a Kirchhoff root: a double bound state
+    # that the propagator must project out and add back with both modes
+    tree = star_tree(3, 0.0)
+    for j in range(3):
+        tree = attach_vertex(tree, f"e{j + 1}", 1.0, -2.0, 2)
+    graph, data = _write(tmp_path, "arms", tree,
+                         {"e4": [Packet(1.0, 4.0, 0.7, 0.0)]})
+    assert main(["spectrum", "--graph", graph]) == 0
+    assert len(_json_out(capsys)["omegas"]) == 3
+    assert main(["oracle-compare", "--graph", graph, "--data", data,
+                 "--times", "0.5", "--h", "0.03125", "--dt", "0.015625",
+                 "--trunc", "18"]) == 0
+    (row,) = _json_out(capsys)["comparison"]
+    assert row["within_safe_horizon"]
+    assert row["rel_l2_discrepancy"] < 1e-2
+
+
+def test_incomplete_spectrum_refused(files, capsys, monkeypatch):
+    # a root finder that loses a root: the count check refuses
+    count_roots = spectral.count_roots
+    monkeypatch.setattr(spectral, "count_roots",
+                        lambda *args: count_roots(*args)[:-1])
+    assert main(["spectrum", "--graph", files["well"]]) == 1
+    doc = _json_out(capsys)
+    assert doc["error"] == "incomplete-spectrum"
+    assert "the count" in doc["detail"]
