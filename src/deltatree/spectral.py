@@ -17,11 +17,18 @@ of LAPACK ``dstebz``, Barth-Martin-Wilkinson 1967) until each interval
 holds one jump, then refines the root by Brent's method on the
 eigenvalue of Lambda that crosses zero; a cluster narrower than ``xtol``
 is one root of multiplicity equal to its jump, repeated that often in
-``SpectralData.omegas``.  It raises ``IncompleteSpectrumError`` rather
-than return a partial spectrum.  Eigenfunctions are kernel vectors of
+``SpectralData.omegas``.  Eigenfunctions are kernel vectors of
 Lambda(omega_k) lifted to the edges (sinh interpolation on internal
 edges, f(v) e^{-omega x} on rays), orthonormalized within a multiple
-root by the exact ``eigen_inner`` Gram matrix.  They are pure
+root by the exact ``eigen_inner`` Gram matrix, each signed so that its
+largest coefficient is positive.  The kernel is the eigenvalues of
+Lambda(omega_k) within ``KERNEL_RTOL`` of zero, relative to the size of
+Lambda's terms; it must have the root's multiplicity.  Roots closer
+than about that (but farther apart than ``xtol``) leave a kernel of the
+wrong dimension, whose vectors would be accurate to no better than
+rounding / gap.  ``find_eigenvalues`` raises ``IncompleteSpectrumError``
+then, and when a bound state lies above omega_max, rather than return
+a partial spectrum.  They are pure
 exponentials per edge, so all inner products against exponentials and
 Gaussian packets are exact.  General (A, B) couplings
 (``couplings.general_eigenvalues``) keep the determinant scan
@@ -39,10 +46,11 @@ from scipy.optimize import brentq
 from .wavepackets import packet_exp_integral
 
 OMEGA_MIN = 1e-6        # bound states with omega <= this are not sought
+KERNEL_RTOL = 1e-8      # a relative eigenvalue of Lambda this small is zero
 
 
 class IncompleteSpectrumError(RuntimeError):
-    """The count of bound states and the roots found disagree."""
+    """The bound states could not all be found and resolved."""
 
 
 def omega_bracket(tree):
@@ -93,6 +101,12 @@ class DtNMatrix:
         """Number of bound states with omega_k > omega."""
         return int(np.count_nonzero(np.linalg.eigvalsh(self(omega)) < 0.0))
 
+    def scale(self, omega):
+        """Size of the terms of Lambda(omega): the largest row sum of
+        their moduli, alpha counted apart from what it may cancel."""
+        terms = np.abs(self(omega) - np.diag(self.alpha))
+        return float(np.max(terms.sum(axis=1) + np.abs(self.alpha)))
+
     def lift(self, omega, f, multiplicity=1):
         """The solution of -u'' + omega^2 u = 0 with vertex values f that
         decays on the rays, as an (unnormalized) Eigenfunction."""
@@ -103,6 +117,7 @@ class DtNMatrix:
         coeffs = {e.id: (float(c[j]), float(ct[j]))
                   for j, e in enumerate(self.internal)}
         coeffs.update((eid, (0.0, float(f[i]))) for eid, i in self.rays)
+        coeffs = {e.id: coeffs[e.id] for e in self.tree.edges}
         return Eigenfunction(self.tree, float(omega), coeffs, multiplicity)
 
 
@@ -235,22 +250,36 @@ def count_roots(dtn, lo, hi, xtol=1e-12):
 def _eigenspace(dtn, omega, multiplicity):
     """Orthonormal eigenfunctions at a root of det Lambda: the kernel
     vectors of Lambda(omega), lifted to the edges and orthonormalized
-    with the exact Gram matrix."""
+    with the exact Gram matrix.  Raises ``IncompleteSpectrumError`` if
+    the kernel does not have the root's multiplicity (module docstring)."""
     vals, vecs = np.linalg.eigh(dtn(omega))
-    f = vecs[:, np.argsort(np.abs(vals))[:multiplicity]].T
+    kernel = np.abs(vals) <= KERNEL_RTOL * dtn.scale(omega)
+    if np.count_nonzero(kernel) != multiplicity:
+        raise IncompleteSpectrumError(
+            f"Lambda has {np.count_nonzero(kernel)} zero eigenvalue(s) at "
+            f"omega={omega:.12g}, a root of multiplicity {multiplicity} by "
+            f"the count: bound states too close to resolve")
+    f = vecs[:, kernel].T
     lifts = [dtn.lift(omega, row) for row in f]
     gram = [[eigen_inner(a, b) for b in lifts] for a in lifts]
-    f = np.linalg.solve(np.linalg.cholesky(gram), f)
-    # fix each sign: make the largest vertex value positive
-    return [dtn.lift(omega, row * np.sign(row[np.argmax(np.abs(row))]),
-                     multiplicity) for row in f]
+    funcs = []
+    for row in np.linalg.solve(np.linalg.cholesky(gram), f):
+        phi = dtn.lift(omega, row, multiplicity)
+        # fix each sign: make the largest coefficient positive
+        flat = [v for pair in phi.coeffs.values() for v in pair]
+        if flat[int(np.argmax(np.abs(flat)))] < 0:
+            phi = dtn.lift(omega, -row, multiplicity)
+        funcs.append(phi)
+    return funcs
 
 
 def find_eigenvalues(tree, omega_max=None, xtol=1e-12):
     """All bound states with omega > 1e-6, counted with multiplicity by
     the inertia of the vertex Dirichlet-to-Neumann matrix (module
     docstring).  Raises ``IncompleteSpectrumError`` when omega_max lies
-    below a bound state or the roots do not add up to the count."""
+    below a bound state or two bound states are too close to resolve.
+    ``xtol`` must stay far below ``KERNEL_RTOL``, as the default does:
+    Lambda's eigenvalue at a root found to xtol is about xtol in size."""
     if omega_max is None:
         omega_max = omega_bracket(tree)
     dtn = DtNMatrix(tree)
@@ -258,15 +287,8 @@ def find_eigenvalues(tree, omega_max=None, xtol=1e-12):
     if above:
         raise IncompleteSpectrumError(
             f"{above} bound state(s) lie above omega_max={omega_max:.6g}")
-    total = dtn.count(OMEGA_MIN)
-    roots = count_roots(dtn, OMEGA_MIN, omega_max, xtol)
-    found = sum(m for _, m in roots)
-    if found != total:
-        raise IncompleteSpectrumError(
-            f"{found} bound state(s) found, the count on "
-            f"({OMEGA_MIN:g}, {omega_max:.6g}] is {total}")
     omegas, funcs = [], []
-    for w, m in roots:
+    for w, m in count_roots(dtn, OMEGA_MIN, omega_max, xtol):
         omegas += [float(w)] * m
         funcs += _eigenspace(dtn, w, m)
     return SpectralData(tree, omegas, funcs)

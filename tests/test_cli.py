@@ -6,7 +6,6 @@ from deltatree import (
     GraphFunction, Packet, attach_vertex, function_to_json, line_tree,
     save_tree, star_tree,
 )
-import deltatree.spectral as spectral
 from deltatree.cli import main
 
 
@@ -221,12 +220,12 @@ def test_oracle_compare_with_double_bound_state(capsys, tmp_path):
     assert row["rel_l2_discrepancy"] < 1e-2
 
 
-def test_incomplete_spectrum_refused(files, capsys, monkeypatch):
-    # a root finder that loses a root: the count check refuses
-    count_roots = spectral.count_roots
-    monkeypatch.setattr(spectral, "count_roots",
-                        lambda *args: count_roots(*args)[:-1])
-    assert main(["spectrum", "--graph", files["well"]]) == 1
+def test_incomplete_spectrum_refused(capsys, tmp_path):
+    # two alpha = -2 wells 24 apart: bound states 7.6e-11 apart, too close
+    # to resolve, are a JSON refusal, not a partial spectrum
+    graph, _ = _write(tmp_path, "wells", line_tree([-2.0, -2.0], [24.0]),
+                      {"e1": [Packet(1.0, 6.0, 1.0, -1.0)]})
+    assert main(["spectrum", "--graph", graph]) == 1
     doc = _json_out(capsys)
     assert doc["error"] == "incomplete-spectrum"
-    assert "the count" in doc["detail"]
+    assert "too close to resolve" in doc["detail"]

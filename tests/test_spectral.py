@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-import deltatree.spectral as spectral
 from deltatree import (
     GraphFunction, IncompleteSpectrumError, Packet, ProjectedFunction,
     SystemTemplate, attach_vertex, data_eigen_inner, eigen_inner,
@@ -219,9 +218,39 @@ def test_too_small_omega_max_refused():
         find_eigenvalues(_three_arm_tree(), omega_max=1.0)
 
 
-def test_count_mismatch_refused(monkeypatch):
-    count_roots = spectral.count_roots
-    monkeypatch.setattr(spectral, "count_roots",
-                        lambda *args: count_roots(*args)[:-1])
-    with pytest.raises(IncompleteSpectrumError, match="the count"):
-        find_eigenvalues(line_tree([-2.0, -3.0], [2.0]))
+def test_unresolved_close_roots_refused():
+    # two alpha = -2 wells 24 apart: the odd and even states,
+    # omega = 1 -+ e^{-24 omega}, lie 7.6e-11 apart, farther than xtol, so
+    # the count finds each as a simple root; but Lambda has two near-zero
+    # eigenvalues at each, and its kernel vector is not determined
+    with pytest.raises(IncompleteSpectrumError, match="2 zero eigenvalue"):
+        find_eigenvalues(line_tree([-2.0, -2.0], [24.0]))
+
+
+def test_close_roots_resolved_or_merged():
+    # 16 apart the two states are 2.3e-7 apart: two simple roots
+    data = find_eigenvalues(line_tree([-2.0, -2.0], [16.0]))
+    want = [brentq(lambda w: w - 1.0 - s * math.exp(-16.0 * w), 0.5, 1.5,
+                   xtol=1e-15) for s in (-1.0, 1.0)]
+    assert [phi.multiplicity for phi in data.eigenfunctions] == [1, 1]
+    for got, w in zip(data.omegas, want):
+        assert abs(got - w) < 1e-12
+    # 40 apart their gap 2 e^{-40} is below rounding: one double root
+    data = find_eigenvalues(line_tree([-2.0, -2.0], [40.0]))
+    assert data.omegas == [data.omegas[0]] * 2
+    assert abs(data.omegas[0] - 1.0) < 1e-12
+    assert [phi.multiplicity for phi in data.eigenfunctions] == [2, 2]
+    funcs = data.eigenfunctions
+    for i, a in enumerate(funcs):
+        for j, b in enumerate(funcs):
+            assert abs(eigen_inner(a, b) - (i == j)) < 1e-10
+        cont, jump = _vertex_residuals(a)
+        assert cont < 1e-10 and jump < 1e-10
+
+
+def test_eigenfunction_sign_rule():
+    # every eigenfunction's largest coefficient is positive
+    for tree in (_three_arm_tree(), line_tree([-2.0, -3.0], [2.0])):
+        for phi in find_eigenvalues(tree).eigenfunctions:
+            flat = [v for pair in phi.coeffs.values() for v in pair]
+            assert max(flat) == max(flat, key=abs)

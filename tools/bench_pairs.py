@@ -2,16 +2,18 @@
 
     python3 tools/bench_pairs.py --base ../base-checkout --label mychange
 
-For every workload and seed, ``perfbench/run.py`` runs once in the base
-checkout and once in this one (the base first on even seeds, second on
-odd seeds, so a drift of the host's speed falls on both sides), then
-once each on the held-out seed.  ``BENCH_<label>.json`` at the repo root
-gets, per workload and metric, the median and quartiles of both sides
-over the paired seeds (``statistics.quantiles(n=4)``), the number of
-pairs the change wins, whether the median gap exceeds the base's
-interquartile range, the held-out values, every run's output, and the
-BLAS thread setting and the numpy and scipy versions.  The file is
-rewritten after every run, so an interrupted set keeps what it ran.
+For every BENCHMARK.json workload and seeds 1-10, ``perfbench/run.py``
+runs once in the base checkout and once in this one (the base first on
+even seeds, second on odd seeds, so a drift of the host's speed falls
+on both sides), then once each on the held-out seed 9001.  Seeds and
+workloads are fixed so that the records of successive changes compare.
+``BENCH_<label>.json`` at the repo root gets, per workload and metric,
+the median and quartiles of both sides over the paired seeds
+(``statistics.quantiles(n=4)``), the number of pairs the change wins,
+whether the median gap exceeds the base's interquartile range, the
+held-out values, every run's output, and the BLAS thread setting and
+the numpy and scipy versions.  The file is rewritten after every run,
+so an interrupted set keeps what it ran.
 """
 
 import argparse
@@ -26,11 +28,8 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def seed_list(text):
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+SEEDS = list(range(1, 11))
+HELD_OUT = 9001
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -49,10 +48,10 @@ def spread(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs, seeds, held_out, better):
+def summarize(runs, better):
     """Per-metric summary of one workload's paired runs."""
     out = {}
-    paired = [s for s in seeds if all(s in runs[side] for side in runs)]
+    paired = [s for s in SEEDS if all(s in runs[side] for side in runs)]
     if len(paired) < 2:
         return out
     for metric, lower in better.items():
@@ -67,8 +66,8 @@ def summarize(runs, seeds, held_out, better):
             "median_gap_exceeds_base_iqr":
                 sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
         }
-        if all(held_out in runs[side] for side in runs):
-            entry["held_out"] = {side: runs[side][held_out]["metrics"][metric]
+        if all(HELD_OUT in runs[side] for side in runs):
+            entry["held_out"] = {side: runs[side][HELD_OUT]["metrics"][metric]
                                  for side in runs}
         out[metric] = entry
     return out
@@ -78,21 +77,14 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, help="checkout to compare to")
     p.add_argument("--label", required=True)
-    p.add_argument("--workloads", default=None,
-                   help="comma list (default: every BENCHMARK.json one)")
-    p.add_argument("--seeds", default="1-10", help="first-last")
-    p.add_argument("--held-out", type=int, default=9001)
     args = p.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
     better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
-    seeds = seed_list(args.seeds)
     record = {
         "label": args.label,
         "command": bench["command"], "run_seconds": bench["run_seconds"],
-        "seeds": seeds, "held_out_seed": args.held_out,
+        "seeds": SEEDS, "held_out_seed": HELD_OUT,
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS",
                                                    "unset"),
@@ -104,10 +96,10 @@ def main():
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     sides = {"base": os.path.abspath(args.base), "change": ROOT}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {"base": {}, "change": {}}
         entry = record["workloads"][workload] = {"runs": runs}
-        for seed in seeds + [args.held_out]:
+        for seed in SEEDS + [HELD_OUT]:
             order = ("base", "change") if seed % 2 == 0 else ("change", "base")
             for side in order:
                 runs[side][seed] = run_once(sides[side], workload, seed,
@@ -115,8 +107,7 @@ def main():
                 print(f"{workload} seed={seed} {side}: "
                       f"{runs[side][seed]['metrics']}", file=sys.stderr,
                       flush=True)
-                entry["summary"] = summarize(runs, seeds, args.held_out,
-                                             better)
+                entry["summary"] = summarize(runs, better)
                 with open(path, "w") as fh:
                     json.dump(record, fh, indent=1, sort_keys=True)
                     fh.write("\n")
