@@ -35,9 +35,9 @@ from .spectral import (
     omega_bracket, eigen_inner, data_eigen_inner, find_eigenvalues,
 )
 from .evolution import (
-    ResonantTreeError, QuadratureSpec, Propagator, DecayReport,
-    default_tau_max, oscillatory_sum, evolve_dispersive, evolve_full,
-    decay_samples, decay_scan,
+    ResonantTreeError, NearResonantError, QuadratureSpec, Propagator,
+    DecayReport, default_tau_max, oscillatory_sum, evolve_dispersive,
+    evolve_full, decay_samples, decay_scan,
 )
 from .oracle import (
     DiscreteTree, CrankNicolson,

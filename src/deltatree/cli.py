@@ -3,10 +3,10 @@
 Subcommands: validate, spectrum, resonance, strip-scan, appendix-a,
 evolve, decay, oracle-compare, couplings-check, couplings-scan.
 
-Exit codes: 0 success, 1 refusal (invalid input, resonance, a winding
-count that does not settle, an incomplete bound-state count; a
-machine-readable JSON report on stdout), 2 usage errors (argparse or
-unreadable files).
+Exit codes: 0 success, 1 refusal (invalid input, resonance, a zero of
+the determinant too near the origin, a winding count that does not
+settle, an incomplete bound-state count; a machine-readable JSON report
+on stdout), 2 usage errors (argparse or unreadable files).
 All outputs are deterministic for identical inputs.
 """
 
@@ -124,15 +124,13 @@ def cmd_spectrum(args):
 
 def cmd_resonance(args):
     tree = _load_tree(args.graph)
-    try:
-        rep = det.zero_order_at_origin(tree)
-    except ValueError as exc:
-        return _refuse({"error": "zero-strength-vertex", "detail": str(exc)})
+    rep = det.zero_order_at_origin(tree)
     doc = {"zero_order": rep.zero_order, "p": rep.p,
+           "expected_order": rep.expected_order,
            "condition_holds": rep.condition_holds,
            "derivative_value": [rep.derivative_value.real,
                                 rep.derivative_value.imag],
-           "radius": rep.radius}
+           "radius": rep.radius, "lambda0_rcond": rep.lambda0_rcond}
     if not rep.condition_holds:
         return _refuse(doc)
     _emit(doc, args.out)
@@ -179,10 +177,7 @@ def cmd_evolve(args):
     u0 = _load_data(tree, args.data)
     times = _parse_times(args.times)
     samples = ev.decay_samples(tree, u0, max(times), per_edge=200)
-    try:
-        results = ev.evolve_full(tree, u0, times, samples, quad=_quad(args))
-    except ev.ResonantTreeError as exc:
-        return _refuse(exc.report)
+    results = ev.evolve_full(tree, u0, times, samples, quad=_quad(args))
     rows = []
     for t in times:
         for eid in sorted(samples):
@@ -200,10 +195,7 @@ def cmd_decay(args):
     u0 = _load_data(tree, args.data)
     times = _parse_times(args.times) if args.times else \
         list(np.geomspace(1.0, 100.0, 15))
-    try:
-        rep = ev.decay_scan(tree, u0, times, quad=_quad(args))
-    except ev.ResonantTreeError as exc:
-        return _refuse(exc.report)
+    rep = ev.decay_scan(tree, u0, times, quad=_quad(args))
     _emit({"times": rep.times, "sup_norms": rep.sup_norms,
            "sqrt_t_products": rep.products,
            "fit_constant": rep.fit_constant,
@@ -222,13 +214,9 @@ def cmd_oracle_compare(args):
     dt_tree = orc.discretize_tree(tree, h, trunc)
     state = orc.sample_function(dt_tree, u0)
     spectral = sp.find_eigenvalues(tree)
-    try:
-        results = ev.evolve_full(
-            tree, u0, times,
-            {e.id: dt_tree.edge_grid(e.id) for e in tree.edges},
-            quad=_quad(args), spectral=spectral)
-    except ev.ResonantTreeError as exc:
-        return _refuse(exc.report)
+    results = ev.evolve_full(
+        tree, u0, times, {e.id: dt_tree.edge_grid(e.id) for e in tree.edges},
+        quad=_quad(args), spectral=spectral)
     rows = []
     horizon = orc.safe_horizon(u0, trunc)
     for t in sorted(times):
@@ -345,7 +333,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InvalidInput as exc:
+    except (_InvalidInput, ev.ResonantTreeError, ev.NearResonantError) as exc:
         return _refuse(exc.report)
     except det.InconclusiveWindingError as exc:
         return _refuse({"error": "inconclusive-winding", "detail": str(exc)})

@@ -18,10 +18,21 @@ satisfies its own scalar recursion; for older edges it is recomputed by
 column on its vertex's rows (+2 omega in the flux row for a delta
 vertex).
 
-``zero_order_at_origin`` counts the order of vanishing of the cleared
-determinant at omega = 0 by winding-number tracking on a small circle,
-and extracts the first nonzero Taylor coefficient by contour FFT
-(``contour_taylor``, shared with the propagator's Taylor step).
+``zero_order_at_origin`` decides zero-energy resonance from the p x p
+matrix Lambda(0) = diag(alpha) + sum over internal edges of (1/L) times
+the edge Laplacian, the omega -> 0 limit of ``spectral.DtNMatrix``.  A
+bounded zero-energy solution is constant on the rays and linear on the
+internal edges, and its vertex values f solve Lambda(0) f = 0.  The
+cleared determinant is (2 omega)^(p-1) prod_e (sinh(omega L_e) / omega)
+det Lambda(omega) up to a nonvanishing factor, so it vanishes at 0 to
+order p - 1 exactly when Lambda(0) is nonsingular, with
+
+    (p-1)-th derivative at 0 = (p-1)! 2^(p-1) prod_e L_e det Lambda(0).
+
+Only a singular Lambda(0) (a resonant tree) is handed to the winding
+count of ``_origin_order_of`` on a small circle, to report its order.
+``contour_taylor`` (Taylor coefficients by contour FFT) is shared with
+the propagator's Taylor step.
 """
 
 from __future__ import annotations
@@ -33,7 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .resolvent import SystemTemplate
+from .spectral import DtNMatrix
 from .trees import Edge, MetricTree, Vertex
+
+LAMBDA0_RCOND = 1e-10   # Lambda(0) with a smaller rcond is singular
 
 
 class InconclusiveWindingError(Exception):
@@ -217,51 +231,58 @@ def _origin_order_of(fn, r, nodes=2048):
 @dataclass
 class ResonanceReport:
     zero_order: int             # order of vanishing of det_direct at 0
-    p: int                      # vertex count; condition is order == p - 1
-    condition_holds: bool
+    p: int                      # vertex count
+    condition_holds: bool       # non-resonant: zero_order == expected_order
     derivative_value: complex   # (p-1)-th derivative of the cleared det at 0
-    radius: float
+    radius: float               # origin_radius, or where the winding settled
+    expected_order: int         # (#vertices with alpha != 0) - 1, at least 0
+    lambda0_rcond: float        # smallest / largest singular value, Lambda(0)
 
 
 def zero_order_at_origin(tree, radius=None, nodes=2048):
-    """Order of vanishing of the determinant at omega = 0 (argument
-    principle on a small circle) and the generic-condition verdict.
+    """Order of vanishing of the determinant at omega = 0 and the
+    non-resonance verdict, read off Lambda(0) (module docstring).
 
-    Only defined for trees with all strengths nonzero; the dispersive
-    machinery uses an internal variant that also handles Kirchhoff
-    vertices.
+    The generic order is the number of vertices with nonzero strength
+    minus one (0 for a tree with none): Kirchhoff vertices are
+    transparent for this count.  The tree is non-resonant, and its
+    order is the generic one, iff Lambda(0) is nonsingular (rcond above
+    ``LAMBDA0_RCOND``) or every alpha(v) is 0.  The second clause is
+    the Kirchhoff case: there the constants span the kernel of Lambda(0)
+    (a bounded zero-energy solution), yet the normalized determinant
+    does not vanish at 0 and the tree is admitted, as the free line
+    must be.  Only a resonant tree gets a winding count (circle of
+    ``radius``, default ``origin_radius``, shrunk until two counts
+    agree), which gives its order, at least the generic one plus one.
     """
-    if any(v.alpha == 0.0 for v in tree.vertices):
-        raise ValueError("zero_order_at_origin requires all alpha(v) != 0")
-    order, r, _, vals = _origin_order_of(
-        SystemTemplate(tree).det, radius or origin_radius(tree), nodes)
-    # winding of the raw determinant counts zeros of the normalized
-    # determinant only: the cleared factors (omega + alpha) have no zeros
-    # inside the circle since r <= min |alpha| / 2
     p = tree.p
-    cleared = (-1.0) ** p * vals
-    deriv = math.factorial(p - 1) * contour_taylor(cleared, r, p)[p - 1]
-    return ResonanceReport(order, p, order == p - 1, complex(deriv), r)
+    n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
+    expected = max(p - n_kirchhoff - 1, 0)
+    lam0 = DtNMatrix(tree)(0.0)
+    sv = np.linalg.svd(lam0, compute_uv=False)
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    nonsingular = rcond > LAMBDA0_RCOND
+    deriv = 0.0     # the cleared det vanishes to order >= p
+    if nonsingular:
+        lengths = math.prod(e.length for e in tree.internal_edges)
+        deriv = math.factorial(p - 1) * 2.0 ** (p - 1) * lengths \
+            * np.linalg.det(lam0)
+    holds = nonsingular or n_kirchhoff == p
+    r = radius or origin_radius(tree)
+    order = expected
+    if not holds:
+        # the winding of the raw determinant counts the zeros of the
+        # cleared one, which has one more per Kirchhoff vertex
+        w, r, _, _ = _origin_order_of(SystemTemplate(tree).det, r, nodes)
+        order = w - n_kirchhoff
+    return ResonanceReport(order, p, holds, complex(deriv), r, expected,
+                           rcond)
 
 
 def generalized_origin_check(tree, radius=None, nodes=2048):
-    """Internal resonance pre-check that tolerates alpha(v) = 0.
-
-    The winding of the raw determinant equals the order of the
-    normalized determinant plus one for each Kirchhoff vertex (the
-    cleared factor omega + 0 contributes a zero at the origin).  The
-    non-resonance condition generalizes to: order equals the number of
-    vertices with nonzero strength minus one (and zero for a fully free
-    tree).  Kirchhoff vertices are transparent for this count -- a
-    degree-2 one is no vertex at all, and a higher-degree one scatters
-    without adding a zero at the origin.
-    """
-    w, r, _, _ = _origin_order_of(SystemTemplate(tree).det,
-                                  radius or origin_radius(tree), nodes)
-    n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
-    order = w - n_kirchhoff
-    expected = max(tree.p - n_kirchhoff - 1, 0)
-    return order, expected, order == expected
+    """(order, expected order, non-resonant) of ``zero_order_at_origin``."""
+    rep = zero_order_at_origin(tree, radius, nodes)
+    return rep.zero_order, rep.expected_order, rep.condition_holds
 
 
 # -- strip scan --------------------------------------------------------------

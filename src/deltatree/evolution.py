@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import (circle, contour_taylor, generalized_origin_check,
-                           origin_radius)
+from .determinants import (InconclusiveWindingError, circle, contour_taylor,
+                           generalized_origin_check, origin_radius,
+                           winding_number)
 from .resolvent import _BLOCK_BYTES, SystemTemplate
 from .spectral import find_eigenvalues, data_eigen_inner
 from .wavepackets import free_evolution
@@ -56,6 +57,24 @@ class ResonantTreeError(Exception):
             "expected_order": expected,
             "detail": "determinant vanishing order at the origin exceeds "
                       "the generic value; zero-energy resonance present",
+        }
+        super().__init__(str(self.report))
+
+
+class NearResonantError(Exception):
+    """The determinant has a zero near the origin that no contour ring
+    down to the radius floor excludes; the Taylor step is not safe."""
+
+    def __init__(self, radius, winding, expected):
+        self.report = {
+            "error": "near-resonant",
+            "radius": radius,
+            "winding": winding,
+            "expected_winding": expected,
+            "detail": "a zero of the determinant lies near the origin: "
+                      "no contour ring down to this radius winds around "
+                      "it exactly the expected number of times (null: "
+                      "the count did not settle)",
         }
         super().__init__(str(self.report))
 
@@ -187,18 +206,20 @@ class Propagator:
 
     The resolvent coefficient functions are sampled and interpolated
     once; ``dispersive(t, samples)`` then costs only moment evaluations.
+    ``ring_radius`` and ``ring_shrinks`` record the Taylor ring used.
     """
 
     _CHEB = np.cos(np.pi * np.arange(7) / 6.0)
+    _REFLECT = (-1.0) ** np.arange(7)
+    MAX_RING_SHRINKS = 5
 
-    def __init__(self, tree, u0, quad=None, check_resonance=True):
+    def __init__(self, tree, u0, quad=None):
         self.tree = tree
         self.u0 = u0
         self.quad = quad or QuadratureSpec()
-        if check_resonance:
-            order, expected, ok = generalized_origin_check(tree)
-            if not ok:
-                raise ResonantTreeError(order, expected)
+        order, expected, ok = generalized_origin_check(tree)
+        if not ok:
+            raise ResonantTreeError(order, expected)
         # the default tau_max rule assumes Gaussian decay of the
         # Fourier-side factors, which requires the data to be negligible
         # at edge endpoints; record the worst offender
@@ -242,10 +263,36 @@ class Propagator:
 
     # resolvent weights -------------------------------------------------
 
+    def _ring_radius(self, template):
+        """Radius of the Taylor ring: ``origin_radius`` shrunk by 4 until
+        the raw determinant winds around 0 on the ring exactly as often
+        as it vanishes at the origin, the generic order plus one per
+        Kirchhoff vertex (p - 1, or p if every alpha is 0).  The ring
+        then holds no other zero, so the Taylor coefficients are those
+        of the entire function.  Sets ``ring_radius`` and
+        ``ring_shrinks``; raises ``NearResonantError`` below the floor
+        ``origin_radius / 4**MAX_RING_SHRINKS``."""
+        tree = self.tree
+        kirchhoff = all(v.alpha == 0.0 for v in tree.vertices)
+        want = tree.p if kirchhoff else tree.p - 1
+        r = origin_radius(tree)
+        for shrinks in range(self.MAX_RING_SHRINKS + 1):
+            if shrinks:
+                r /= 4.0
+            try:
+                w = winding_number(template.det(
+                    circle(r, self.quad.contour_nodes)))
+            except InconclusiveWindingError:
+                w = None
+            if w == want:
+                self.ring_radius, self.ring_shrinks = r, shrinks
+                return r
+        raise NearResonantError(r, w, want)
+
     def _build_weights(self):
         q = self.quad
         template = self._template = SystemTemplate(self.tree)
-        r = origin_radius(self.tree)
+        r = self._ring_radius(template)
         tau_cut = q.tau_cut_fraction * r
         flat = self.nodes.ravel()
         far = np.abs(flat) >= tau_cut
@@ -296,11 +343,14 @@ class Propagator:
             u = np.zeros(x.shape, dtype=complex)
             if pk:
                 u = u + free_evolution(pk, 0.0, e.length, x, t)
+            # the ct term at -x is the sum at +x of W_ct(-tau): on the
+            # mirrored panel its centered coefficients times (-1)^m; so
+            # one moment pass serves both terms of an internal edge
+            coeffs = self.weight_function(eid, "ct")[::-1] * self._REFLECT
             if not e.is_external:
-                u = u + oscillatory_sum(self.weight_function(eid, "c"),
-                                        self.centers, self.h, t, x) / math.pi
-            u = u + oscillatory_sum(self.weight_function(eid, "ct"),
-                                    self.centers, self.h, t, -x) / math.pi
+                coeffs = coeffs + self.weight_function(eid, "c")
+            u = u + oscillatory_sum(coeffs, self.centers, self.h, t,
+                                    x) / math.pi
             out[eid] = u
         return out
 

@@ -62,7 +62,7 @@ def omega_bracket(tree):
 
 class DtNMatrix:
     """Vertex Dirichlet-to-Neumann matrix Lambda(omega) of a delta tree,
-    for real omega > 0 (rows and columns in ``tree.vertices`` order)."""
+    for real omega >= 0 (rows and columns in ``tree.vertices`` order)."""
 
     def __init__(self, tree):
         self.tree = tree
@@ -86,10 +86,16 @@ class DtNMatrix:
                 -np.expm1(-2.0 * omega * self.length))
 
     def __call__(self, omega):
+        """Lambda(omega); at omega = 0 its limit diag(alpha) plus the
+        internal-edge Laplacian weighted by 1 / L (the ray terms tend to
+        0, omega coth(omega L) and omega / sinh(omega L) to 1 / L)."""
         p = self.tree.p
-        decay, gap = self._edge_terms(omega)
-        diag = 2.0 * omega / gap - omega        # omega coth(omega L)
-        off = 2.0 * omega * decay / gap         # omega / sinh(omega L)
+        if omega == 0.0:
+            diag = off = 1.0 / self.length
+        else:
+            decay, gap = self._edge_terms(omega)
+            diag = 2.0 * omega / gap - omega    # omega coth(omega L)
+            off = 2.0 * omega * decay / gap     # omega / sinh(omega L)
         lam = np.diag(self.alpha + omega * self.n_rays
                       + np.bincount(self.tail, diag, p)
                       + np.bincount(self.head, diag, p))

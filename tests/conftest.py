@@ -4,10 +4,14 @@ from deltatree import star_tree, attach_vertex
 
 
 def random_tree(rng, p, positive=False, n_choices=(2, 3, 4),
-                alpha_range=(-3.0, 3.0), length_range=(0.3, 3.0)):
+                alpha_range=(-3.0, 3.0), length_range=(0.3, 3.0),
+                zero_fraction=0.0):
     """Random tree with p vertices grown by grafting on random external
-    edges; strengths avoid zero (or are strictly positive)."""
+    edges; strengths avoid zero (or are strictly positive), except that
+    each is 0 with probability ``zero_fraction``."""
     def strength():
+        if zero_fraction and rng.uniform() < zero_fraction:
+            return 0.0
         if positive:
             return float(rng.uniform(0.2, alpha_range[1]))
         while True:

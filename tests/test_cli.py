@@ -1,10 +1,13 @@
+import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from deltatree import (
-    GraphFunction, Packet, attach_vertex, function_to_json, line_tree,
-    save_tree, star_tree,
+    GraphFunction, Packet, attach_vertex, find_eigenvalues, free_evolution,
+    function_to_json, line_tree, save_tree, star_tree,
 )
 from deltatree.cli import main
 
@@ -42,12 +45,27 @@ def test_resonance_refusal(files, capsys):
     assert doc["zero_order"] == 2
     assert doc["p"] == 2
     assert doc["condition_holds"] is False
+    assert doc["expected_order"] == 1 and doc["lambda0_rcond"] < 1e-15
 
 
 def test_resonance_ok(files, capsys):
     assert main(["resonance", "--graph", files["single"]]) == 0
     doc = _json_out(capsys)
     assert doc["zero_order"] == 0 and doc["condition_holds"]
+    assert doc["lambda0_rcond"] == 1.0
+
+
+def test_resonance_zero_strengths(capsys, tmp_path):
+    # formerly a zero-strength-vertex refusal: alpha = 0 is admitted by
+    # the Kirchhoff rule, or decided by Lambda(0) when some alpha != 0
+    for name, tree, order in (("free", star_tree(3, 0.0), 0),
+                              ("mixed", line_tree([1.0, 0.0, 1.0],
+                                                  [1.0, 1.0]), 1)):
+        graph = str(tmp_path / f"{name}.json")
+        save_tree(tree, graph)
+        assert main(["resonance", "--graph", graph]) == 0
+        doc = _json_out(capsys)
+        assert doc["condition_holds"] and doc["zero_order"] == order
 
 
 def test_spectrum(files, capsys):
@@ -187,11 +205,14 @@ def _write(tmp_path, name, tree, packets):
 
 
 def test_inconclusive_winding_refused(capsys, tmp_path):
-    # the origin circle of radius |alpha| / 2 passes through the zero
-    # omega = -alpha / 2 of the degree-2 vertex factor, so the winding
-    # count does not settle: a JSON refusal, not a traceback
-    graph, data = _write(tmp_path, "weak", star_tree(2, 0.15),
-                         {"e1": [Packet(1.0, 6.0, 1.0, -1.0)]})
+    # resonant (alpha = -1/L at both ends, an antisymmetric zero-energy
+    # solution), so the order is counted by winding; its bound state
+    # omega = 0.1 lies on the circle of radius origin_radius = 0.1, so
+    # the count does not settle: a JSON refusal, not a traceback
+    tree = line_tree([-0.2, 0.2, -0.2], [5.0, 5.0])
+    assert abs(find_eigenvalues(tree).omegas[0] - 0.1) < 1e-12
+    graph, data = _write(tmp_path, "onring", tree,
+                         {"e1": [Packet(1.0, 8.0, 1.0, 1.0)]})
     for args in (["resonance", "--graph", graph],
                  ["evolve", "--graph", graph, "--data", data,
                   "--times", "0.5"]):
@@ -200,6 +221,43 @@ def test_inconclusive_winding_refused(capsys, tmp_path):
         doc = _json_out(capsys)
         assert doc["error"] == "inconclusive-winding"
         assert "phase step" in doc["detail"]
+
+
+def test_weak_vertex_trees_admitted(capsys, tmp_path):
+    # the winding verdict failed on these (its circle of radius |alpha|/2
+    # passes through the zero -alpha/2 of a degree-2 vertex factor); the
+    # packet runs outward, so up to t = 0.5 the solution on e1 is the
+    # free Gaussian
+    packet = Packet(1.0, 8.0, 1.0, 1.0)
+    for name, tree in (("star", star_tree(2, 0.15)),
+                       ("line", line_tree([0.145, 0.0], [1.392]))):
+        graph, data = _write(tmp_path, name, tree, {"e1": [packet]})
+        capsys.readouterr()
+        assert main(["resonance", "--graph", graph]) == 0
+        doc = _json_out(capsys)
+        assert doc["condition_holds"] and doc["zero_order"] == 0
+        out = str(tmp_path / f"{name}.csv")
+        assert main(["evolve", "--graph", graph, "--data", data,
+                     "--times", "0.5", "--out", out]) == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["edge"] == "e1"]
+        x = np.array([float(r["x"]) for r in rows])
+        got = np.array([complex(float(r["re_u"]), float(r["im_u"]))
+                        for r in rows])
+        want = free_evolution([packet], -math.inf, math.inf, x, 0.5)
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+
+def test_near_resonant_refused(capsys, tmp_path):
+    graph, data = _write(tmp_path, "near", line_tree([2.0, -1.0], [0.5001]),
+                         {"e1": [Packet(1.0, 8.0, 1.0, 1.0)]})
+    assert main(["resonance", "--graph", graph]) == 0
+    assert 1e-5 < _json_out(capsys)["lambda0_rcond"] < 1e-4
+    assert main(["evolve", "--graph", graph, "--data", data,
+                 "--times", "0.5"]) == 1
+    doc = _json_out(capsys)
+    assert doc["error"] == "near-resonant"
+    assert doc["winding"] == 2 and doc["expected_winding"] == 1
 
 
 def test_oracle_compare_with_double_bound_state(capsys, tmp_path):

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from deltatree import (
-    SystemTemplate, appendix_a_checks, attach_vertex, cleared_det,
-    coefficient_order, det_direct, det_recursive, generalized_origin_check,
-    line_tree, ratio_by_flip, stage_trees, star_tree,
-    stagewise_origin_checks, strip_scan, winding_number,
-    zero_order_at_origin,
+    InconclusiveWindingError, SystemTemplate, appendix_a_checks,
+    attach_vertex, cleared_det, coefficient_order, det_direct, det_recursive,
+    find_eigenvalues, generalized_origin_check, line_tree, origin_radius,
+    ratio_by_flip, stage_trees, star_tree, stagewise_origin_checks,
+    strip_scan, winding_number, zero_order_at_origin,
+)
+from deltatree.determinants import (
+    _origin_order_of, _winding_at, contour_taylor,
 )
 from conftest import random_tree
 
@@ -134,9 +137,33 @@ def test_zero_order_caterpillar_positive():
     assert rep.condition_holds
 
 
-def test_zero_order_requires_nonzero_strengths():
-    with pytest.raises(ValueError):
-        zero_order_at_origin(star_tree(2, 0.0))
+def test_zero_order_with_zero_strengths():
+    # all strengths 0 (the Kirchhoff case): the constants are in the
+    # kernel of Lambda(0), yet the tree is admitted with order 0
+    for tree in (star_tree(2, 0.0), star_tree(4, 0.0)):
+        rep = zero_order_at_origin(tree)
+        assert rep.zero_order == rep.expected_order == 0
+        assert rep.condition_holds
+        assert rep.lambda0_rcond == 0.0 and rep.derivative_value == 0.0
+    for tree in (line_tree([0.0] * 4, [0.7, 1.3, 2.9]),
+                 attach_vertex(line_tree([0.0, 0.0], [0.3]), "e3", 1.7, 0.0,
+                               4)):
+        rep = zero_order_at_origin(tree)
+        assert rep.condition_holds and rep.zero_order == 0
+        assert rep.derivative_value == 0.0      # order p, not p - 1
+    # some strengths 0: Lambda(0) decides, the generic order counts the
+    # nonzero strengths only
+    for tree, expected in ((line_tree([0.145, 0.0], [1.392]), 0),
+                           (line_tree([1.0, 0.0, -0.5], [1.0, 1.0]), 1)):
+        rep = zero_order_at_origin(tree)
+        assert rep.condition_holds and rep.lambda0_rcond > 1e-3
+        assert rep.zero_order == rep.expected_order == expected
+    # a Kirchhoff point splitting the resonant distance 1/2 leaves the
+    # line resonant (conductances 1/L add in series): refused, with the
+    # order counted by winding
+    rep = zero_order_at_origin(line_tree([2.0, 0.0, -1.0], [0.25, 0.25]))
+    assert not rep.condition_holds and rep.lambda0_rcond < 1e-15
+    assert rep.expected_order == 1 and rep.zero_order == 2
 
 
 def test_generalized_origin_check_kirchhoff():
@@ -148,6 +175,70 @@ def test_generalized_origin_check_kirchhoff():
     order, expected, ok = generalized_origin_check(tree)
     assert expected == 1
     assert ok
+
+
+def _winding_verdict(tree, nodes=2048):
+    """The origin verdict by winding alone: (order, expected order,
+    non-resonant, (p-1)-th derivative of the cleared det at 0 by
+    contour FFT), counted on circles shrunk from ``origin_radius`` until
+    two counts agree."""
+    p = tree.p
+    n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
+    w, r, _, vals = _origin_order_of(SystemTemplate(tree).det,
+                                     origin_radius(tree), nodes)
+    expected = max(p - n_kirchhoff - 1, 0)
+    deriv = math.factorial(p - 1) \
+        * contour_taylor((-1.0) ** p * vals, r, p)[p - 1]
+    return w - n_kirchhoff, expected, w - n_kirchhoff == expected, deriv
+
+
+def test_lambda0_verdict_agrees_with_winding():
+    # mixed strengths (default_rng(0) and (1)), and 40% zero strengths
+    # (default_rng(5)); p = 1..4, 150 trees each
+    sets = ((0, 0.0, 1), (1, 0.0, 3), (5, 0.4, 4))
+    for seed, zero_fraction, n_disagree in sets:
+        rng = np.random.default_rng(seed)
+        disagree = []
+        for _ in range(150):
+            tree = random_tree(rng, int(rng.integers(1, 5)),
+                               zero_fraction=zero_fraction)
+            rep = zero_order_at_origin(tree)
+            try:
+                order, expected, ok, deriv = _winding_verdict(tree)
+            except InconclusiveWindingError:
+                disagree.append(tree)
+                continue
+            assert rep.expected_order == expected
+            if ok != rep.condition_holds:
+                disagree.append(tree)
+            elif ok:
+                assert rep.zero_order == order
+            if rep.lambda0_rcond > 1e-10:
+                assert abs(rep.derivative_value - deriv) \
+                    <= 1e-10 * abs(deriv)
+        assert len(disagree) == n_disagree
+        for tree in disagree:
+            # a zero of the determinant near, not at, the origin: the
+            # winding took it for part of the origin's order (or did not
+            # settle), and on a circle of radius 1e-3 it is gone
+            rep = zero_order_at_origin(tree)
+            assert rep.condition_holds
+            n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
+            w, _, _ = _winding_at(SystemTemplate(tree).det, 1e-3, 2048)
+            assert w - n_kirchhoff == rep.expected_order
+
+
+def test_shallow_bound_state_not_resonant():
+    # the default_rng(0) tree whose bound state at omega = 0.00187 the
+    # winding verdict counted as part of the origin's order
+    rng = np.random.default_rng(0)
+    for _ in range(136):
+        tree = random_tree(rng, int(rng.integers(1, 5)))
+    (omega,) = [w for w in find_eigenvalues(tree).omegas if w < 0.01]
+    assert abs(omega - 0.0018660016) < 1e-9
+    assert not _winding_verdict(tree)[2]
+    rep = zero_order_at_origin(tree)
+    assert rep.condition_holds and rep.zero_order == tree.p - 1
 
 
 def test_strip_scan_star():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from deltatree import (
-    GraphFunction, Packet, Propagator, QuadratureSpec, ResonantTreeError,
-    SystemTemplate, attach_vertex, evolve_dispersive, evolve_full,
-    find_eigenvalues, free_evolution, line_tree, origin_radius, star_tree,
+    GraphFunction, NearResonantError, Packet, Propagator, QuadratureSpec,
+    ResonantTreeError, SystemTemplate, attach_vertex, evolve_dispersive,
+    evolve_full, find_eigenvalues, free_evolution, line_tree, origin_radius,
+    star_tree,
 )
+from deltatree import evolution
 from deltatree.determinants import circle, contour_taylor
 from deltatree.evolution import (_BLOCK_BYTES, _legendre_moments,
                                  _quadratic_taylor_terms, oscillatory_sum)
+from conftest import random_tree
 
 
 def _exact_moment(u, n):
@@ -162,7 +165,7 @@ def _loop_panel_coeffs(prop):
     node (the per-node loop the batched build replaced)."""
     q = prop.quad
     template = SystemTemplate(prop.tree)
-    r = origin_radius(prop.tree)
+    r = prop.ring_radius
 
     def solve(w):
         sys = template.assemble(w, prop.u0, normalized=True)
@@ -199,6 +202,99 @@ def test_batched_weights_match_per_node_solves():
         for eid in samples:
             assert np.abs(a[eid] - b[eid]).max() <= 1e-12 * max(
                 1.0, np.abs(b[eid]).max())
+
+
+def _two_call_dispersive(prop, t, samples):
+    """``dispersive`` with one oscillatory sum per term: the c sum at +x
+    on internal edges and the ct sum at -x on every edge."""
+    out = {}
+    for eid, x in samples.items():
+        x = np.asarray(x, dtype=float)
+        e = prop.tree.edge_map[eid]
+        u = np.zeros(x.shape, dtype=complex)
+        pk = prop.u0.edge_packets(eid)
+        if pk:
+            u = u + free_evolution(pk, 0.0, e.length, x, t)
+        if not e.is_external:
+            u = u + oscillatory_sum(prop.weight_function(eid, "c"),
+                                    prop.centers, prop.h, t, x) / math.pi
+        u = u + oscillatory_sum(prop.weight_function(eid, "ct"),
+                                prop.centers, prop.h, t, -x) / math.pi
+        out[eid] = u
+    return out
+
+
+def test_one_moment_pass_per_edge_matches_two_calls(monkeypatch):
+    tree = attach_vertex(line_tree([1.0, -0.4], [1.3]), "e3", 0.8, 0.6, 3)
+    u0 = GraphFunction(tree, {"e1": [Packet(1.0 + 0.5j, 5.0, 0.8, -1.0)]})
+    prop = Propagator(tree, u0)
+    samples = {e.id: np.linspace(0.0, 1.3 if e.id == "e2" else 9.0, 23)
+               for e in tree.edges}
+    calls = []
+    counted = lambda *args: calls.append(1) or oscillatory_sum(*args)
+    for t in (0.3, 5.0, 100.0, 2000.0):        # t = 2000 halves the panels
+        monkeypatch.setattr(evolution, "oscillatory_sum", counted)
+        got = prop.dispersive(t, samples)
+        monkeypatch.undo()
+        assert len(calls) == len(samples)       # one per edge
+        calls.clear()
+        want = _two_call_dispersive(prop, t, samples)
+        for eid in samples:
+            assert np.abs(got[eid] - want[eid]).max() <= 1e-12 * max(
+                1.0, np.abs(want[eid]).max())
+    assert 2000.0 * (prop.h / 2.0) ** 2 > 1.2
+
+
+def _taylor_error(prop):
+    """Largest relative mismatch between the Taylor ring's polynomial and
+    direct solves at |tau| < tau_cut."""
+    taus = prop.quad.tau_cut_fraction * prop.ring_radius \
+        * np.array([-0.9, -0.4, 0.2, 0.6, 0.95])
+    sys = prop._template.assemble(1j * taus, prop.u0, normalized=True)
+    direct = (1j * taus)[:, None] * np.linalg.solve(
+        sys.matrix, sys.source[..., None])[..., 0]
+    taylor = np.polynomial.polynomial.polyval(1j * taus, prop._taylor).T
+    return np.abs(taylor - direct).max() / np.abs(direct).max()
+
+
+def test_taylor_ring_excludes_nearby_zeros():
+    rng = np.random.default_rng(0)
+    for _ in range(136):
+        shallow = random_tree(rng, int(rng.integers(1, 5)))
+    cases = (
+        # a zero of the determinant at omega = -0.0297 inside the default
+        # ring of radius 0.1 (the Taylor step used to miss it)
+        (line_tree([1.0, -0.4], [1.3]), 1),
+        # the ring of radius |alpha| / 2 passes through the zero -alpha / 2
+        (star_tree(2, 0.15), 1),
+        (line_tree([0.145, 0.0], [1.392]), 1),
+        # a bound state at omega = 0.00187
+        (shallow, 3),
+        (star_tree(3, 1.0), 0),
+    )
+    for tree, shrinks in cases:
+        u0 = GraphFunction(tree, {"e1": [Packet(1.0, 8.0, 1.0, 1.0)]})
+        prop = Propagator(tree, u0)
+        assert prop.ring_shrinks == shrinks
+        assert prop.ring_radius == origin_radius(tree) / 4.0 ** shrinks
+        assert _taylor_error(prop) < 1e-8
+
+
+def test_near_resonant_tree_refused():
+    # distance 1/2 + 1e-4 from the resonant (2, -1) line: Lambda(0) is
+    # nonsingular, but a zero of the determinant at 7.9e-5 is closer to
+    # the origin than any ring down to the floor
+    tree = line_tree([2.0, -1.0], [0.5001])
+    u0 = GraphFunction(tree, {"e1": [Packet(1.0, 8.0, 1.0, 1.0)]})
+    with pytest.raises(NearResonantError) as exc:
+        Propagator(tree, u0)
+    rep = exc.value.report
+    assert rep["error"] == "near-resonant"
+    assert rep["radius"] == 0.1 / 4.0 ** Propagator.MAX_RING_SHRINKS
+    assert rep["winding"] == 2 and rep["expected_winding"] == 1
+    # a little farther, the ring shrinks past the zero at 7.99e-4
+    prop = Propagator(line_tree([2.0, -1.0], [0.501]), u0)
+    assert prop.ring_shrinks == 4 and _taylor_error(prop) < 1e-8
 
 
 def test_unitarity_on_dispersive_subspace():

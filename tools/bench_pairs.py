@@ -11,8 +11,10 @@ workloads are fixed so that the records of successive changes compare.
 the median and quartiles of both sides over the paired seeds
 (``statistics.quantiles(n=4)``), the number of pairs the change wins,
 whether the median gap exceeds the base's interquartile range, the
-held-out values, every run's output, and the BLAS thread setting and
-the numpy and scipy versions.  The file is rewritten after every run,
+held-out values, every run's output, per side the number of runs that
+were ``correct`` and the share of attempted operations that failed (the
+benchmark's gate rejects on both), and the BLAS thread setting and the
+numpy and scipy versions.  The file is rewritten after every run,
 so an interrupted set keeps what it ran.
 """
 
@@ -73,6 +75,22 @@ def summarize(runs, better):
     return out
 
 
+def outcomes(runs):
+    """Per side: runs, how many were ``correct``, and the share of
+    attempted operations that failed, over every run of the workload."""
+    out = {}
+    for side, by_seed in runs.items():
+        done = list(by_seed.values())
+        attempted = sum(r["attempted"] for r in done)
+        out[side] = {
+            "runs": len(done),
+            "correct": sum(bool(r["correct"]) for r in done),
+            "failed_share": (sum(r["failed"] for r in done) / attempted
+                             if attempted else None),
+        }
+    return out
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, help="checkout to compare to")
@@ -108,6 +126,7 @@ def main():
                       f"{runs[side][seed]['metrics']}", file=sys.stderr,
                       flush=True)
                 entry["summary"] = summarize(runs, better)
+                entry["outcomes"] = outcomes(runs)
                 with open(path, "w") as fh:
                     json.dump(record, fh, indent=1, sort_keys=True)
                     fh.write("\n")
