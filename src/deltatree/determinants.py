@@ -259,8 +259,8 @@ def zero_order_at_origin(tree, radius=None, nodes=2048):
     n_kirchhoff = sum(1 for v in tree.vertices if v.alpha == 0.0)
     expected = max(p - n_kirchhoff - 1, 0)
     lam0 = DtNMatrix(tree)(0.0)
-    sv = np.linalg.svd(lam0, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    sv = np.abs(np.linalg.eigvalsh(lam0))   # symmetric: singular values
+    rcond = float(sv.min() / sv.max()) if sv.max() > 0.0 else 0.0
     nonsingular = rcond > LAMBDA0_RCOND
     deriv = 0.0     # the cleared det vanishes to order >= p
     if nonsingular:
